@@ -52,15 +52,14 @@ public:
     virtual std::optional<QueueEntry> pop_min() = 0;
     virtual std::optional<QueueEntry> peek_min() = 0;
 
-    /// Bulk insert for the batched host pipeline: semantically `n` scalar
-    /// inserts in order. The default is exactly that loop; sorter-backed
-    /// queues override it to pay the virtual dispatch, stats bracket, and
-    /// trace span once per batch. Overrides keep per-op *cycle*
-    /// accounting identical to the scalar path and keep QueueStats op
-    /// counts and accesses_total exact, but may attribute accesses at
-    /// batch granularity — worst_insert_accesses/worst_pop_accesses are
-    /// only tightened by the scalar entry points (Table I measurements
-    /// use those).
+    /// Bulk insert: semantically `n` scalar inserts in order. The default
+    /// is exactly that loop; sorter-backed queues override it to pay the
+    /// virtual dispatch, stats bracket, and trace span once per batch.
+    /// Overrides keep per-op *cycle* accounting identical to the scalar
+    /// path and keep QueueStats op counts and accesses_total exact, but
+    /// may attribute accesses at batch granularity —
+    /// worst_insert_accesses/worst_pop_accesses are only tightened by the
+    /// scalar entry points (Table I measurements use those).
     virtual void insert_batch(const QueueEntry* entries, std::size_t n) {
         for (std::size_t i = 0; i < n; ++i) insert(entries[i].tag, entries[i].payload);
     }
@@ -100,16 +99,6 @@ public:
     /// Lets harnesses attach fault injectors and ECC without knowing the
     /// concrete type.
     virtual hw::Simulation* simulation() { return nullptr; }
-
-    /// Ask for `n` host worker threads behind the bulk entry points
-    /// (per-bank parallel insert_batch on the multi-bank ffs backend;
-    /// results stay bit-identical to the sequential path). Returns false
-    /// when this queue has no parallel story (everything else). 0 turns
-    /// workers off again.
-    virtual bool set_worker_threads(unsigned n) {
-        (void)n;
-        return false;
-    }
 
     const QueueStats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; }

@@ -179,10 +179,9 @@ public:
     bool can_accept(std::uint64_t logical) const;
     std::uint64_t window_span() const;
 
-    /// Head/max registers (meaningful while non-empty). The sharded ffs
-    /// queue's batch validator simulates accept decisions from these.
+    /// Head register (meaningful while non-empty): the sharded ffs queue's
+    /// head-merge comparator reads it.
     std::uint64_t head_logical() const { return head_logical_; }
-    std::uint64_t max_logical() const { return max_logical_; }
 
     const SorterStats& stats() const { return stats_; }
 

@@ -122,7 +122,7 @@ public:
 
     /// Bulk insert: semantically `n` scalar inserts in order (identical
     /// bank engagements, clock advance, and stats), dispatched with one
-    /// call for the batched host pipeline. `flow_keys` may be null when
+    /// call. `flow_keys` may be null when
     /// the bank select ignores flows (kTagInterleave).
     void insert_batch(const SortedTag* entries, std::size_t n,
                       const std::uint64_t* flow_keys = nullptr);

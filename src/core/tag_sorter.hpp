@@ -115,11 +115,11 @@ public:
     /// departing slot. Precondition: non-empty.
     SortedTag insert_and_pop(std::uint64_t tag, std::uint32_t payload);
 
-    /// Bulk insert for the batched host pipeline: semantically `n` scalar
-    /// inserts in order — identical clock advance, stats, histogram
-    /// samples, and exception behavior (a throw leaves entries [0, i)
-    /// applied, like a scalar loop would) — but the host-side trace span
-    /// and dispatch overhead is paid once per batch.
+    /// Bulk insert: semantically `n` scalar inserts in order — identical
+    /// clock advance, stats, histogram samples, and exception behavior (a
+    /// throw leaves entries [0, i) applied, like a scalar loop would) —
+    /// but the host-side trace span and dispatch overhead is paid once per
+    /// batch.
     void insert_batch(const SortedTag* entries, std::size_t n);
 
     /// Bulk pop: up to `max_n` pops into `out`, stopping when empty.

@@ -37,10 +37,9 @@ public:
     /// run(). The registry must outlive the driver's last run.
     void attach_metrics(obs::MetricsRegistry& registry);
 
-    /// Attribute the sequential loop's time to gen/sched/egress stage
-    /// sections with 1-in-64 SampledTimer brackets (see obs::HostProfiler;
-    /// this is what bounds the host pipeline's achievable speedup). The
-    /// caller owns the profiler's sampling lifecycle; null detaches.
+    /// Attribute the loop's time to gen/sched/egress stage sections with
+    /// 1-in-64 SampledTimer brackets (see obs::HostProfiler). The caller
+    /// owns the profiler's sampling lifecycle; null detaches.
     void set_profiler(obs::HostProfiler* profiler) { profiler_ = profiler; }
 
     /// Registers every flow with the scheduler (in order — flow ids are

@@ -99,10 +99,9 @@ public:
         hist_.bump(cycles < last ? static_cast<std::size_t>(cycles) : last);
     }
 
-    /// Bulk credit: `n` identical samples in one call (the batched host
-    /// pipeline records one value per batch; the --threads 1 delegate
-    /// path records its whole run at once). Falls back to per-sample
-    /// recording when the fast lane cannot hold the block exactly.
+    /// Bulk credit: `n` identical samples in one call. Falls back to
+    /// per-sample recording when the fast lane cannot hold the block
+    /// exactly.
     void record_cycles(std::uint64_t cycles, std::uint64_t n);
 
     /// Fold another histogram in (both lanes + bins). Geometries must be

@@ -4,7 +4,7 @@
 // search primitives against a std::set reference, audit/repair/rebuild
 // under hand-planted corruption, the committed regression corpus through
 // the three-way differ, and the ffs-backed TagQueue in lockstep with the
-// cycle-modeled one (including the multi-bank parallel batch path).
+// cycle-modeled one (single bank and four interleaved banks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -319,8 +319,7 @@ TEST(FfsCorpusReplay, EveryArtifactEveryGeometry) {
 
 // --- the ffs TagQueue backend in lockstep with the cycle model ----------
 
-void run_queue_lockstep(unsigned num_banks, unsigned worker_threads,
-                        std::uint64_t seed) {
+void run_queue_lockstep(unsigned num_banks, std::uint64_t seed) {
     baselines::QueueParams params;
     params.range_bits = 16;
     params.capacity = 2048;
@@ -330,9 +329,6 @@ void run_queue_lockstep(unsigned num_banks, unsigned worker_threads,
     params.backend = baselines::SorterBackend::kFfs;
     auto ffs = baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
                                          params);
-    if (worker_threads != 0) {
-        ASSERT_EQ(ffs->set_worker_threads(worker_threads), num_banks > 1);
-    }
 
     Rng rng(seed);
     std::uint64_t cursor = 0;
@@ -379,22 +375,8 @@ void run_queue_lockstep(unsigned num_banks, unsigned worker_threads,
     }
 }
 
-TEST(FfsTagQueue, LockstepSingleBank) { run_queue_lockstep(1, 0, 11); }
-TEST(FfsTagQueue, LockstepFourBanks) { run_queue_lockstep(4, 0, 22); }
-TEST(FfsTagQueue, LockstepFourBanksParallelBatches) {
-    // Worker pool armed: batches >= the parallel threshold dispatch to
-    // per-bank threads; results must stay bit-identical (TSan covers the
-    // pool in CI).
-    run_queue_lockstep(4, 2, 33);
-}
-
-TEST(FfsTagQueue, WorkerThreadsRefusedOnSingleBank) {
-    baselines::QueueParams params;
-    params.backend = baselines::SorterBackend::kFfs;
-    auto q = baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params);
-    EXPECT_FALSE(q->set_worker_threads(2));
-    EXPECT_TRUE(q->set_worker_threads(0));
-}
+TEST(FfsTagQueue, LockstepSingleBank) { run_queue_lockstep(1, 11); }
+TEST(FfsTagQueue, LockstepFourBanks) { run_queue_lockstep(4, 22); }
 
 TEST(FfsTagQueue, ReportsBackendNameAndRecovers) {
     baselines::QueueParams params;

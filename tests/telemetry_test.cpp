@@ -1,8 +1,9 @@
 // The continuous-telemetry layer: TimeSeries window/downsample math,
 // CycleHistogram bulk recording and merging, the FlightRecorder ring and
 // its replayable dump format, and the HostProfiler — including a
-// concurrent-sampler run that the TSan CI job uses to enforce the
-// single-writer rule for metric views under the parallel driver.
+// concurrent-sampler run that the TSan CI job uses to check that the
+// sampler thread reads stage counters race-free — plus the SimDriver's
+// metric and profiler attachments.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "baselines/factory.hpp"
-#include "net/parallel_driver.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/flight_recorder.hpp"
@@ -317,33 +317,14 @@ TEST(HostProfiler, BusyShareModeAttributesSequentialSections) {
     prof.end_run();
     const auto summary = prof.summary();
     EXPECT_DOUBLE_EQ(summary[0].busy_fraction, 0.25);  // gen
-    EXPECT_DOUBLE_EQ(summary[2].busy_fraction, 0.75);  // sched
+    EXPECT_DOUBLE_EQ(summary[1].busy_fraction, 0.75);  // sched
     EXPECT_EQ(prof.bottleneck(), obs::HostProfiler::Stage::kSched);
-}
-
-TEST(HostProfiler, StallModeRanksTheLeastStalledStage) {
-    obs::HostProfiler prof;
-    for (std::size_t i = 0; i < obs::HostProfiler::kStageCount; ++i)
-        prof.set_stage_threads(static_cast<obs::HostProfiler::Stage>(i), 1);
-    prof.begin_run();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    prof.end_run();
-    const std::uint64_t alive_ns =
-        static_cast<std::uint64_t>(prof.elapsed_seconds() * 1e9);
-    // sched never waits; the others spend most of the run stalled.
-    prof.stage(obs::HostProfiler::Stage::kGen).add_stall_ns(alive_ns / 2);
-    prof.stage(obs::HostProfiler::Stage::kMerge).add_stall_ns(alive_ns / 2);
-    prof.stage(obs::HostProfiler::Stage::kEgress).add_stall_ns(alive_ns / 2);
-    EXPECT_EQ(prof.bottleneck(), obs::HostProfiler::Stage::kSched);
-    const auto summary = prof.summary();
-    EXPECT_GT(summary[2].busy_fraction, summary[0].busy_fraction);
-    EXPECT_NEAR(summary[0].busy_fraction, 0.5, 0.1);
 }
 
 TEST(HostProfiler, SampledTimerChargesStrideMultiples) {
     obs::HostProfiler prof;
     obs::SampledTimer timer(&prof.stage(obs::HostProfiler::Stage::kSched));
-    for (int i = 0; i < 2 * obs::SampledTimer::kStride; ++i) {
+    for (std::uint64_t i = 0; i < 2 * obs::SampledTimer::kStride; ++i) {
         auto scope = timer.time();
         // Two of these 128 brackets are measured and charged x64 each.
     }
@@ -358,7 +339,6 @@ TEST(HostProfiler, ConcurrentSamplerSeesSingleWriterCounters) {
     // writers bump relaxed atomics while the sampler thread reads them
     // every millisecond. Any non-atomic sharing here is a CI failure.
     obs::HostProfiler prof(64, std::chrono::milliseconds(1));
-    prof.set_stage_threads(obs::HostProfiler::Stage::kGen, 2);
     std::atomic<double> occupancy{0.0};
     prof.add_gauge("test.occupancy", [&] { return occupancy.load(); });
     prof.start_sampling();
@@ -369,8 +349,7 @@ TEST(HostProfiler, ConcurrentSamplerSeesSingleWriterCounters) {
             for (int i = 0; i < 20000; ++i) {
                 c.add_items(1);
                 if (i % 64 == 0) {
-                    c.inc_stalls();
-                    c.add_stall_ns(10);
+                    c.add_busy_ns(10);
                     occupancy.store(w + i * 1e-6);
                 }
             }
@@ -379,80 +358,91 @@ TEST(HostProfiler, ConcurrentSamplerSeesSingleWriterCounters) {
     for (auto& t : writers) t.join();
     prof.stop_sampling();
     EXPECT_EQ(prof.stage(obs::HostProfiler::Stage::kGen).items(), 40000u);
+    EXPECT_EQ(prof.stage(obs::HostProfiler::Stage::kGen).busy_ns(), 2u * 313u * 10u);
     EXPECT_GT(prof.series().window_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Driver integration: batch-size histogram + per-stage attribution
+// Driver integration: net.* metrics + per-stage attribution
 
-scheduler::FairQueueingScheduler make_wfq(std::uint64_t rate) {
+/// Field-by-field SimResult equality: byte-for-byte the same run.
+bool identical_results(const net::SimResult& a, const net::SimResult& b) {
+    const auto same_packet = [](const net::Packet& x, const net::Packet& y) {
+        return x.id == y.id && x.flow == y.flow && x.size_bytes == y.size_bytes &&
+               x.arrival_ns == y.arrival_ns;
+    };
+    if (a.offered_packets != b.offered_packets ||
+        a.dropped_packets != b.dropped_packets ||
+        a.sorter_faults != b.sorter_faults ||
+        a.last_departure_ns != b.last_departure_ns ||
+        a.all_arrivals.size() != b.all_arrivals.size() ||
+        a.records.size() != b.records.size())
+        return false;
+    for (std::size_t i = 0; i < a.all_arrivals.size(); ++i)
+        if (!same_packet(a.all_arrivals[i], b.all_arrivals[i])) return false;
+    for (std::size_t i = 0; i < a.records.size(); ++i) {
+        if (!same_packet(a.records[i].packet, b.records[i].packet) ||
+            a.records[i].service_start_ns != b.records[i].service_start_ns ||
+            a.records[i].departure_ns != b.records[i].departure_ns)
+            return false;
+    }
+    return true;
+}
+
+constexpr std::uint64_t kRate = 50'000'000;
+
+scheduler::FairQueueingScheduler make_wfq() {
     scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
+    cfg.link_rate_bps = kRate;
     cfg.tag_granularity_bits = -6;
     return scheduler::FairQueueingScheduler(
         cfg,
         baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
 }
 
-TEST(DriverTelemetry, BatchSizeHistogramPopulatedAtEveryThreadCount) {
-    // Regression: the --threads 1 delegate path used to leave
-    // host.pipeline.batch_size empty (count 0); it must now hold one
-    // unit-batch credit per offered packet, and the pipelined path one
-    // credit per refill.
-    const std::uint64_t rate = 50'000'000;
-    for (const unsigned threads : {1u, 4u}) {
-        obs::MetricsRegistry reg;
-        auto sched = make_wfq(rate);
-        auto flows = net::make_mixed_profile(50 * kMs, 11);
-        net::ParallelSimDriver driver(rate, threads);
-        driver.attach_metrics(reg);
-        const auto result = driver.run(sched, flows);
-        ASSERT_GT(result.offered_packets, 0u);
-        const auto& h = reg.histogram("host.pipeline.batch_size");
-        const auto& stats = driver.pipeline_stats();
-        EXPECT_EQ(h.stats().count(), stats.sched_batches) << threads;
-        EXPECT_EQ(stats.sched_items, result.offered_packets) << threads;
-        if (threads == 1) {
-            EXPECT_EQ(h.stats().count(), result.offered_packets);
-            EXPECT_DOUBLE_EQ(h.stats().mean(), 1.0);
-        } else {
-            EXPECT_GT(h.stats().count(), 0u);
-            EXPECT_GT(h.stats().mean(), 0.0);
-        }
-    }
+TEST(DriverTelemetry, AttachedMetricsCountEveryPacket) {
+    obs::MetricsRegistry reg;
+    auto sched = make_wfq();
+    auto flows = net::make_mixed_profile(50 * kMs, 11);
+    net::SimDriver driver(kRate);
+    driver.attach_metrics(reg);
+    const auto result = driver.run(sched, flows);
+    ASSERT_GT(result.offered_packets, 0u);
+    const auto counters = reg.counter_values();
+    EXPECT_EQ(counters.at("net.offered_packets"), result.offered_packets);
+    EXPECT_EQ(counters.at("net.dropped_packets"), result.dropped_packets);
+    EXPECT_EQ(counters.at("net.delivered_packets"), result.records.size());
+    EXPECT_EQ(counters.at("net.sorter_faults"), 0u);
+    EXPECT_EQ(reg.histogram("net.delay_us").stats().count(), result.records.size());
 }
 
-TEST(DriverTelemetry, ParallelRunFeedsProfilerAndStaysIdentical) {
-    // The profiler + sampler must not perturb results: same workload
-    // with and without telemetry produces bit-identical SimResults, and
-    // the profiler sees every stage's item flow. Under TSan this is also
-    // the end-to-end single-writer regression for ring stats.
-    const std::uint64_t rate = 50'000'000;
-    const auto run_with = [&](unsigned threads, obs::HostProfiler* prof) {
-        auto sched = make_wfq(rate);
+TEST(DriverTelemetry, ProfiledRunFeedsProfilerAndStaysIdentical) {
+    // The profiler + sampler must not perturb results: the same workload
+    // with and without telemetry produces identical SimResults, and the
+    // profiler sees every stage's item flow.
+    const auto run_with = [&](obs::HostProfiler* prof) {
+        auto sched = make_wfq();
         auto flows = net::make_mixed_profile(50 * kMs, 13);
-        net::ParallelSimDriver driver(rate, threads);
-        if (prof != nullptr) driver.attach_profiler(prof);
-        return driver.run(sched, flows);
+        net::SimDriver driver(kRate);
+        driver.set_profiler(prof);
+        if (prof != nullptr) prof->start_sampling();
+        auto result = driver.run(sched, flows);
+        if (prof != nullptr) prof->stop_sampling();
+        return result;
     };
-    const auto plain = run_with(4, nullptr);
+    const auto plain = run_with(nullptr);
     obs::HostProfiler prof(64, std::chrono::milliseconds(1));
-    const auto profiled = run_with(4, &prof);
-    EXPECT_TRUE(net::identical_results(plain, profiled));
+    const auto profiled = run_with(&prof);
+    EXPECT_TRUE(identical_results(plain, profiled));
+    ASSERT_EQ(plain.dropped_packets, 0u);  // every arrival is also served
 
     using Stage = obs::HostProfiler::Stage;
     EXPECT_EQ(prof.stage(Stage::kGen).items(), plain.offered_packets);
-    EXPECT_EQ(prof.stage(Stage::kMerge).items(), plain.offered_packets);
     EXPECT_EQ(prof.stage(Stage::kSched).items(), plain.offered_packets);
-    EXPECT_GT(prof.stage(Stage::kEgress).items(), 0u);
+    EXPECT_EQ(prof.stage(Stage::kEgress).items(), plain.offered_packets);
+    EXPECT_GT(prof.stage(Stage::kSched).busy_ns(), 0u);
     EXPECT_GT(prof.elapsed_seconds(), 0.0);
-    EXPECT_FALSE(prof.sampling());  // run() stopped the sampler
-
-    // The sequential delegate uses SampledTimer busy sections instead.
-    obs::HostProfiler seq_prof(64, std::chrono::milliseconds(1));
-    const auto sequential = run_with(1, &seq_prof);
-    EXPECT_TRUE(net::identical_results(plain, sequential));
-    EXPECT_EQ(seq_prof.stage(Stage::kGen).items(), plain.offered_packets);
+    EXPECT_FALSE(prof.sampling());
 }
 
 }  // namespace
