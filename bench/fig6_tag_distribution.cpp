@@ -23,8 +23,7 @@
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
-#include "scheduler/wfq_scheduler.hpp"
-#include "wfq/tag_computer.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 using namespace wfqs;
 
@@ -37,19 +36,19 @@ constexpr net::TimeNs kSecond = 1'000'000'000;
 // sampling the distribution every millisecond.
 void profile_distribution(const char* label, std::vector<net::FlowSpec> flows,
                           std::uint64_t rate) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
-    cfg.tag_granularity_bits = -6;
-    scheduler::FairQueueingScheduler sched(
-        cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = rate;
+    cfg.rank.tag_granularity_bits = -6;
+    sched_prog::PifoScheduler sched(cfg, [] {
+        return baselines::make_tag_queue(baselines::QueueKind::Heap);
+    });
     net::SimDriver driver(rate);
     const auto result = driver.run(sched, flows);
 
     // Rebuild the live-tag timeline from the records: a packet's tag is
     // live from its arrival to its service start.
-    wfq::WfqTagComputer computer(rate);
-    for (const auto& f : flows) computer.add_flow(f.weight);
-    wfq::TagQuantizer quant(-6);
+    const auto ranker = sched_prog::make_rank_function(cfg.policy, cfg.rank);
+    for (const auto& f : flows) ranker->add_flow(f.weight);
 
     struct Event {
         net::TimeNs t;
@@ -64,11 +63,10 @@ void profile_distribution(const char* label, std::vector<net::FlowSpec> flows,
                          return a->packet.arrival_ns < b->packet.arrival_ns;
                      });
     for (const auto* r : by_arrival) {
-        const Fixed tag =
-            computer.on_arrival(r->packet.flow, r->packet.arrival_ns,
-                                r->packet.size_bits());
-        events.push_back({r->packet.arrival_ns, true, quant.quantize(tag)});
-        events.push_back({r->service_start_ns, false, quant.quantize(tag)});
+        const std::uint64_t tag =
+            ranker->on_arrival(r->packet, r->packet.arrival_ns).rank;
+        events.push_back({r->packet.arrival_ns, true, tag});
+        events.push_back({r->service_start_ns, false, tag});
     }
     std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
         // Same instant: the insert precedes its own zero-delay service.

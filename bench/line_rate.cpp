@@ -25,7 +25,7 @@
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/profiler.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 using namespace wfqs;
 using namespace wfqs::core;
@@ -40,14 +40,15 @@ baselines::QueueParams driver_queue_params(baselines::SorterBackend backend) {
     return qp;
 }
 
-scheduler::FairQueueingScheduler make_wfq(std::uint64_t rate,
-                                          baselines::SorterBackend backend) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
-    cfg.tag_granularity_bits = -6;
-    return scheduler::FairQueueingScheduler(
-        cfg, baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                       driver_queue_params(backend)));
+sched_prog::PifoScheduler make_wfq(std::uint64_t rate,
+                                   baselines::SorterBackend backend) {
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = rate;
+    cfg.rank.tag_granularity_bits = -6;
+    return sched_prog::PifoScheduler(cfg, [backend] {
+        return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                         driver_queue_params(backend));
+    });
 }
 
 // --- host-throughput phase (both backends, every run) -------------------

@@ -37,7 +37,7 @@
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 using namespace wfqs;
 using namespace wfqs::core;
@@ -129,9 +129,12 @@ std::uint64_t run_scheduler_demo(baselines::SorterBackend backend,
     baselines::QueueParams params;
     params.num_banks = 4;
     params.backend = backend;
-    auto sched = scheduler::FairQueueingScheduler(
-        {20'000'000},
-        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params));
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = 20'000'000;
+    cfg.rank.tag_granularity_bits = -4;
+    sched_prog::PifoScheduler sched(cfg, [&] {
+        return baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params);
+    });
     std::vector<net::FlowSpec> flows;
     for (std::uint64_t f = 0; f < 8; ++f)
         flows.push_back({std::make_unique<net::CbrSource>(

@@ -6,16 +6,16 @@
 // finishes every packet no later than its GPS fluid finish time plus one
 // maximum packet transmission time, D_p <= F_gps + Lmax/r. Exact WF2Q
 // (eligibility tested against the true GPS virtual time, ref [5]) obeys
-// the same bound — but only with the *exact* clock: this oracle caught
-// Wf2qScheduler breaking the bound by up to 3.4 Lmax/r when its
+// the same bound — but only with the *exact* clock: this oracle caught a
+// WF2Q scheduler breaking the bound by up to 3.4 Lmax/r when its
 // eligibility gate ran on the flat O(1) WF2Q+ clock, whose virtual time
 // advances at r/Φ_total over all registered flows and so lags GPS
-// whenever part of the flow set idles (see wf2q_scheduler.hpp). The
-// conformance harness runs randomized workloads through the real
-// schedulers and asks this oracle whether any packet broke the bound.
+// whenever part of the flow set idles. The conformance harness runs
+// randomized workloads through sched_prog::PifoScheduler and asks this
+// oracle whether any packet broke the bound.
 //
 // Implementation-specific slack: the hardware tag path quantizes virtual
-// time (TagQuantizer, §III-D) and the discrete driver serves whole
+// time (wfq::TagQuantizer, §III-D) and the discrete driver serves whole
 // packets, so callers pass an explicit slack for the coarsening they
 // configured; with fine granularity the theoretical bound itself holds.
 #pragma once

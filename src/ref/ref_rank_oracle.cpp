@@ -54,7 +54,7 @@ std::optional<net::Packet> RefRankOracle::dequeue(net::TimeNs now) {
     if (eligible_.empty()) return std::nullopt;
     Stored stored = eligible_.begin()->second;
     eligible_.erase(eligible_.begin());
-    rank_->on_service(stored.packet, now);
+    rank_->on_service(stored.packet, now, stored.rank);
     return stored.packet;
 }
 
@@ -87,26 +87,26 @@ std::uint64_t RefSpPifo::enqueue(const net::Packet& packet, net::TimeNs now) {
     for (std::size_t q = queues_.size(); q-- > 0;) {
         if (rank >= bounds_[q]) {
             bounds_[q] = rank;
-            queues_[q].push_back(packet);
+            queues_[q].push_back({packet, rank});
             return rank;
         }
     }
     const std::uint64_t cost = bounds_[0] - rank;
     for (std::uint64_t& bound : bounds_) bound -= std::min(bound, cost);
     bounds_[0] = rank;
-    queues_[0].push_back(packet);
+    queues_[0].push_back({packet, rank});
     return rank;
 }
 
 std::optional<net::Packet> RefSpPifo::dequeue(net::TimeNs now) {
     for (std::size_t q = 0; q < queues_.size(); ++q) {
         if (heads_[q] == queues_[q].size()) continue;
-        net::Packet packet = queues_[q][heads_[q]++];
+        auto [packet, rank] = queues_[q][heads_[q]++];
         if (heads_[q] == queues_[q].size()) {
             queues_[q].clear();
             heads_[q] = 0;
         }
-        rank_->on_service(packet, now);
+        rank_->on_service(packet, now, rank);
         return packet;
     }
     return std::nullopt;
@@ -158,7 +158,7 @@ std::optional<net::Packet> RefRifo::dequeue(net::TimeNs now) {
         fifo_.clear();
         head_ = 0;
     }
-    rank_->on_service(packet, now);
+    rank_->on_service(packet, now, rank);
     return packet;
 }
 
@@ -211,7 +211,7 @@ void RankInversionMeter::on_serve(const net::Packet& packet, net::TimeNs now) {
         // pending image, never in the eligible rank set.
         pending_.erase(pending_.find({image.start, packet.id}));
     }
-    rank_->on_service(packet, now);
+    rank_->on_service(packet, now, image.rank);
     if (!eligible_ranks_.empty() && image.rank > *eligible_ranks_.begin())
         ++inversions_;
 }

@@ -91,7 +91,8 @@ public:
 
 private:
     std::unique_ptr<sched_prog::RankFunction> rank_;
-    std::vector<std::vector<net::Packet>> queues_;  ///< [0] = highest prio
+    /// (packet, rank) per queue; [0] = highest prio.
+    std::vector<std::vector<std::pair<net::Packet, std::uint64_t>>> queues_;
     std::vector<std::size_t> heads_;                ///< pop cursor per queue
     std::vector<std::uint64_t> bounds_;
 };

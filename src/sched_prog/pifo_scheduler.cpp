@@ -36,18 +36,31 @@ std::uint32_t PifoScheduler::allocate_slot(std::uint64_t rank,
     return slot;
 }
 
+void PifoScheduler::release_slot(std::uint32_t slot) {
+    WFQS_ASSERT(slot < slots_.size() && slots_[slot].in_use);
+    slots_[slot].in_use = false;
+    free_slots_.push_back(slot);
+}
+
 bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
     const auto ref = buffer_.store(packet);
     if (!ref) return false;
     const RankSet ranks = rank_->on_arrival(packet, now);
     const std::uint32_t slot = allocate_slot(ranks.rank, *ref, packet.size_bytes);
-    if (start_queue_) {
+    try {
         // Two-stage: wait in start order until eligible.
-        start_queue_->insert(ranks.start, slot);
-        promote_eligible(now);
-    } else {
-        primary_->insert(ranks.rank, slot);
+        if (start_queue_)
+            start_queue_->insert(ranks.start, slot);
+        else
+            primary_->insert(ranks.rank, slot);
+    } catch (...) {
+        // A faulted insert must not leak: free the slot and the buffer
+        // cell so a post-recovery retry re-stores the packet cleanly.
+        release_slot(slot);
+        buffer_.retrieve(*ref);
+        throw;
     }
+    if (start_queue_) promote_eligible(now);
     return true;
 }
 
@@ -64,23 +77,26 @@ std::optional<net::Packet> PifoScheduler::do_dequeue(net::TimeNs now) {
     if (start_queue_) {
         promote_eligible(now);
         if (primary_->empty() && !start_queue_->empty()) {
-            // Same guard as Wf2qScheduler: under an exact eligibility
-            // clock every backlogged head has S <= V(t), so an empty
-            // eligible set is quantization rounding — force the head
-            // across rather than idle the link.
+            // Under an exact eligibility clock every backlogged head has
+            // S <= V(t), so an empty eligible set is quantization
+            // rounding: force the head across rather than idle the link.
             const auto moved = start_queue_->pop_min();
             primary_->insert(slots_[moved->payload].rank, moved->payload);
         }
     }
     const auto entry = primary_->pop_min();
     if (!entry) return std::nullopt;
-    Pending& p = slots_[entry->payload];
-    WFQS_ASSERT(p.in_use);
-    p.in_use = false;
-    free_slots_.push_back(entry->payload);
+    const Pending& p = slots_[entry->payload];
+    release_slot(entry->payload);
     const net::Packet packet = buffer_.retrieve(p.ref);
-    rank_->on_service(packet, now);
+    rank_->on_service(packet, now, p.rank);
     return packet;
+}
+
+bool PifoScheduler::recover() {
+    bool ok = primary_->recover();
+    if (start_queue_) ok = start_queue_->recover() && ok;
+    return ok;
 }
 
 bool PifoScheduler::has_packets() const {

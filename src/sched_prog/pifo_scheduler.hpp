@@ -7,8 +7,8 @@
 // chosen by plugging in a RankFunction. Single-stage policies use one
 // sort structure keyed by the service rank; two-stage policies (WF2Q+)
 // add a second structure keyed by the start rank, from which packets are
-// promoted once eligible — the same shape as scheduler::Wf2qScheduler,
-// but policy-generic.
+// promoted once eligible — the two sort operations per packet that §I-B
+// attributes to WF2Q+.
 //
 // Construction takes a *queue factory* rather than queue instances, so
 // one configuration line can build either one or two sort structures
@@ -49,6 +49,8 @@ public:
     std::size_t queued_packets() const override;
     std::string name() const override;
     std::optional<std::uint32_t> peek_size(net::TimeNs now) override;
+    /// Scrubs both sort structures; false if either cannot recover.
+    bool recover() override;
 
     std::uint64_t drops() const { return buffer_.drops(); }
     const RankFunction& rank_function() const { return *rank_; }
@@ -64,6 +66,7 @@ private:
     };
     std::uint32_t allocate_slot(std::uint64_t rank, scheduler::BufferRef ref,
                                 std::uint32_t size_bytes);
+    void release_slot(std::uint32_t slot);
     void promote_eligible(net::TimeNs now);
 
     Config config_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "wfq/tag_computer.hpp"
 #include "wfq/virtual_clock.hpp"
 
 namespace wfqs::sched_prog {
@@ -30,9 +29,13 @@ private:
 };
 
 /// WF2Q+: finish rank plus start rank, eligibility against the *exact*
-/// GPS virtual time — the arrangement Wf2qScheduler proved keeps the
-/// Parekh–Gallager departure bound (the flat O(1) WF2Q+ clock does not;
-/// see wf2q_scheduler.hpp).
+/// GPS virtual time. The flat O(1) WF2Q+ clock, which advances at
+/// r/Φ_total over every registered flow, lags GPS whenever part of the
+/// flow set idles: a newly active flow then restarts "in the past" and
+/// the backlogged flows' packets broke the Parekh–Gallager departure
+/// bound by up to 3.4 Lmax/r in the conformance harness. The exact clock
+/// meets D_p <= F_gps + Lmax/r with zero slack
+/// (Conformance.Wf2qMeetsGpsDepartureBound).
 class Wf2qRank final : public RankFunction {
 public:
     explicit Wf2qRank(const RankConfig& cfg)
@@ -57,6 +60,109 @@ private:
     wfq::TagQuantizer quantizer_;
 };
 
+/// Per-flow finish chaining shared by the self-clocked family: the start
+/// is max(V, the flow's previous finish), the finish adds L/φ.
+class FinishChain {
+public:
+    net::FlowId add_flow(std::uint32_t weight) {
+        WFQS_REQUIRE(weight > 0, "flow weight must be positive");
+        flows_.push_back({weight, Fixed{}});
+        return static_cast<net::FlowId>(flows_.size() - 1);
+    }
+    Fixed next_finish(const net::Packet& packet, Fixed v) {
+        WFQS_REQUIRE(packet.flow < flows_.size(), "unregistered flow");
+        Flow& f = flows_[packet.flow];
+        f.last_finish =
+            max(v, f.last_finish) + Fixed::ratio(packet.size_bits(), f.weight);
+        return f.last_finish;
+    }
+
+private:
+    struct Flow {
+        std::uint32_t weight;
+        Fixed last_finish;
+    };
+    std::vector<Flow> flows_;
+};
+
+/// SCFQ: the virtual time is the (dequantized) rank of the packet last
+/// served, so the clock needs no GPS emulation at all.
+class ScfqRank final : public RankFunction {
+public:
+    explicit ScfqRank(const RankConfig& cfg) : quantizer_(cfg.tag_granularity_bits) {}
+
+    net::FlowId add_flow(std::uint32_t weight) override { return flows_.add_flow(weight); }
+    RankSet on_arrival(const net::Packet& packet, net::TimeNs now) override {
+        (void)now;
+        return {quantizer_.quantize(flows_.next_finish(packet, v_)), 0};
+    }
+    void on_service(const net::Packet& packet, net::TimeNs now,
+                    std::uint64_t rank) override {
+        (void)packet;
+        (void)now;
+        v_ = quantizer_.dequantize(rank);
+    }
+    std::string name() const override { return "scfq"; }
+
+private:
+    wfq::TagQuantizer quantizer_;
+    FinishChain flows_;
+    Fixed v_;
+};
+
+/// FBFQ: V advances by one frame of service (12 kbit, one maximum
+/// packet) over the total weight at every frame boundary, then is
+/// floored by the largest rank served during the frame, so the linear
+/// clock never falls a whole frame behind the real schedule.
+class FbfqRank final : public RankFunction {
+public:
+    static constexpr std::uint32_t kFrameBits = 12000;
+
+    explicit FbfqRank(const RankConfig& cfg) : quantizer_(cfg.tag_granularity_bits) {
+        WFQS_REQUIRE(cfg.link_rate_bps > 0, "link rate must be positive");
+        frame_ns_ = net::TimeNs{kFrameBits} * 1'000'000'000ULL / cfg.link_rate_bps;
+    }
+
+    net::FlowId add_flow(std::uint32_t weight) override {
+        total_weight_ += weight;
+        return flows_.add_flow(weight);
+    }
+    RankSet on_arrival(const net::Packet& packet, net::TimeNs now) override {
+        advance_frames(now);
+        return {quantizer_.quantize(flows_.next_finish(packet, v_)), 0};
+    }
+    void on_service(const net::Packet& packet, net::TimeNs now,
+                    std::uint64_t rank) override {
+        (void)packet;
+        advance_frames(now);
+        const Fixed served = quantizer_.dequantize(rank);
+        if (!have_floor_ || served > frame_floor_) {
+            frame_floor_ = served;
+            have_floor_ = true;
+        }
+    }
+    std::string name() const override { return "fbfq"; }
+
+private:
+    void advance_frames(net::TimeNs now) {
+        while (now >= frame_start_ + frame_ns_) {
+            frame_start_ += frame_ns_;
+            if (total_weight_ > 0) v_ += Fixed::ratio(kFrameBits, total_weight_);
+            if (have_floor_ && frame_floor_ > v_) v_ = frame_floor_;
+            have_floor_ = false;
+        }
+    }
+
+    net::TimeNs frame_ns_;
+    wfq::TagQuantizer quantizer_;
+    FinishChain flows_;
+    std::uint64_t total_weight_ = 0;
+    Fixed v_;
+    Fixed frame_floor_;  ///< largest rank served this frame
+    bool have_floor_ = false;
+    net::TimeNs frame_start_ = 0;
+};
+
 /// pFabric-style SRPT: rank = the flow's outstanding bytes the moment
 /// the packet arrives (including itself). A flow's early packets carry
 /// small ranks, a long flow's tail carries large ones, so short flows
@@ -77,8 +183,10 @@ public:
         outstanding_[packet.flow] += packet.size_bytes;
         return {std::min(max_rank_, outstanding_[packet.flow] >> shift_), 0};
     }
-    void on_service(const net::Packet& packet, net::TimeNs now) override {
+    void on_service(const net::Packet& packet, net::TimeNs now,
+                    std::uint64_t rank) override {
         (void)now;
+        (void)rank;
         WFQS_REQUIRE(packet.flow < outstanding_.size(), "unregistered flow");
         std::uint64_t& left = outstanding_[packet.flow];
         left -= std::min<std::uint64_t>(left, packet.size_bytes);
@@ -147,6 +255,8 @@ std::unique_ptr<RankFunction> make_rank_function(RankPolicy policy,
     switch (policy) {
         case RankPolicy::kWfq: return std::make_unique<WfqRank>(config);
         case RankPolicy::kWf2q: return std::make_unique<Wf2qRank>(config);
+        case RankPolicy::kScfq: return std::make_unique<ScfqRank>(config);
+        case RankPolicy::kFbfq: return std::make_unique<FbfqRank>(config);
         case RankPolicy::kSrpt: return std::make_unique<SrptRank>(config);
         case RankPolicy::kLstf: return std::make_unique<LstfRank>(config);
         case RankPolicy::kPrio: return std::make_unique<PrioRank>(config);
@@ -157,8 +267,8 @@ std::unique_ptr<RankFunction> make_rank_function(RankPolicy policy,
 
 const std::vector<RankPolicy>& all_rank_policies() {
     static const std::vector<RankPolicy> kAll = {
-        RankPolicy::kWfq, RankPolicy::kWf2q, RankPolicy::kSrpt, RankPolicy::kLstf,
-        RankPolicy::kPrio};
+        RankPolicy::kWfq,  RankPolicy::kWf2q, RankPolicy::kScfq, RankPolicy::kFbfq,
+        RankPolicy::kSrpt, RankPolicy::kLstf, RankPolicy::kPrio};
     return kAll;
 }
 
@@ -166,6 +276,8 @@ std::string rank_policy_name(RankPolicy policy) {
     switch (policy) {
         case RankPolicy::kWfq: return "wfq";
         case RankPolicy::kWf2q: return "wf2q";
+        case RankPolicy::kScfq: return "scfq";
+        case RankPolicy::kFbfq: return "fbfq";
         case RankPolicy::kSrpt: return "srpt";
         case RankPolicy::kLstf: return "lstf";
         case RankPolicy::kPrio: return "prio";

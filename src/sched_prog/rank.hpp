@@ -5,14 +5,21 @@
 // Sivaraman et al. ("Programmable Packet Scheduling at Line Rate",
 // PAPERS.md) showed that a wide family of scheduling disciplines reduces
 // to computing a *rank* per packet on enqueue and serving in rank order.
-// This module is that rank computation, factored out of the schedulers:
-// one interface, five disciplines —
+// This module is that rank computation, and the repo's only fair-queueing
+// tag path (§II: the sorter serves "any of the family of fair queueing
+// algorithms" that sorts finishing tags). Seven disciplines —
 //
 //   STFQ/WFQ — virtual finish time from the exact GPS-tracking clock
 //              (wfq::WfqVirtualTime), quantized onto the tag space.
 //   WF2Q+    — the same finish rank plus a virtual *start* rank and an
-//              eligibility horizon (S <= V(t)); two-stage policies sort
-//              twice, exactly like scheduler::Wf2qScheduler.
+//              eligibility horizon (S <= V(t)); the scheduler sorts
+//              twice, the arrangement §I-B attributes to WF2Q+.
+//   SCFQ     — self-clocked: V is the tag of the packet last served
+//              (simplest hardware, looser delay bound).
+//   FBFQ     — frame-based (Stiliadis & Varma [7]): V advances linearly
+//              inside a frame and is recalibrated to the service point at
+//              every frame boundary; "less complex than WFQ, but almost
+//              as fair".
 //   SRPT     — pFabric-style: rank = the flow's outstanding (queued)
 //              bytes at arrival, so short flows cut ahead of long ones.
 //   LSTF     — least-slack-time-first: rank = arrival time plus a
@@ -53,11 +60,15 @@ public:
     /// across calls (simulation time).
     virtual RankSet on_arrival(const net::Packet& packet, net::TimeNs now) = 0;
 
-    /// Hook invoked when the scheduler serves a packet (SRPT decrements
-    /// the flow's outstanding bytes here; default no-op).
-    virtual void on_service(const net::Packet& packet, net::TimeNs now) {
+    /// Hook invoked when the scheduler serves a packet whose service
+    /// rank was `rank` (SRPT decrements the flow's outstanding bytes;
+    /// SCFQ and FBFQ clock off the served rank; default no-op). Policies
+    /// that ignore the rank may be called without it.
+    virtual void on_service(const net::Packet& packet, net::TimeNs now,
+                            std::uint64_t rank = 0) {
         (void)packet;
         (void)now;
+        (void)rank;
     }
 
     /// Two-stage policies gate service on eligibility: a packet may only
@@ -75,15 +86,16 @@ public:
     virtual std::string name() const = 0;
 };
 
-enum class RankPolicy { kWfq, kWf2q, kSrpt, kLstf, kPrio };
+enum class RankPolicy { kWfq, kWf2q, kScfq, kFbfq, kSrpt, kLstf, kPrio };
 
 /// Knobs shared by the policy implementations. The defaults fit the
 /// repo's standard sorter geometries (range_bits >= 16): every policy
 /// keeps the live rank span far inside the moving window.
 struct RankConfig {
     std::uint64_t link_rate_bps = 1'000'000'000;
-    /// Virtual-time quantization for the WFQ family (negative = coarse:
-    /// one tag step covers 2^-g virtual-time units; see TagQuantizer).
+    /// Virtual-time quantization for the fair-queueing family (negative =
+    /// coarse: one tag step covers 2^-g virtual-time units; see
+    /// wfq::TagQuantizer).
     int tag_granularity_bits = -6;
     /// SRPT rank unit: 2^srpt_shift outstanding bytes per rank step.
     unsigned srpt_shift = 8;

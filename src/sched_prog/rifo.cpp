@@ -42,7 +42,7 @@ std::optional<net::Packet> RifoScheduler::do_dequeue(net::TimeNs now) {
     fifo_.pop_front();
     ranks_.erase(ranks_.find(entry.rank));
     const net::Packet packet = buffer_.retrieve(entry.ref);
-    rank_->on_service(packet, now);
+    rank_->on_service(packet, now, entry.rank);
     return packet;
 }
 

@@ -49,7 +49,7 @@ std::optional<net::Packet> SpPifoScheduler::do_dequeue(net::TimeNs now) {
         const Entry entry = queue.front();
         queue.pop_front();
         const net::Packet packet = buffer_.retrieve(entry.ref);
-        rank_->on_service(packet, now);
+        rank_->on_service(packet, now, entry.rank);
         return packet;
     }
     return std::nullopt;

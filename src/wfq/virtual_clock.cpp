@@ -1,5 +1,6 @@
 #include "wfq/virtual_clock.hpp"
 
+#include <cmath>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -97,6 +98,30 @@ TimeNs WfqVirtualTime::eq1_next_departure(Fixed m_min, TimeNs now) {
     advance_to(now);
     if (busy_weight_ == 0 || m_min <= v_) return now;
     return now + ns_for(m_min - v_, busy_weight_, rate_);
+}
+
+// ------------------------------------------------------------ quantizer
+
+TagQuantizer::TagQuantizer(int granularity_bits)
+    : shift_(static_cast<unsigned>(static_cast<int>(Fixed::kFracBits) -
+                                   granularity_bits)) {
+    WFQS_REQUIRE(granularity_bits <= static_cast<int>(Fixed::kFracBits) &&
+                     granularity_bits > static_cast<int>(Fixed::kFracBits) - 64,
+                 "granularity must keep the shift within the 64-bit word");
+}
+
+std::uint64_t TagQuantizer::quantize(Fixed virtual_finish) const {
+    if (shift_ == 0) return virtual_finish.raw();
+    return virtual_finish.raw() >> shift_;
+}
+
+Fixed TagQuantizer::dequantize(std::uint64_t tag) const {
+    return Fixed::from_raw(tag << shift_);
+}
+
+double TagQuantizer::tag_step_virtual() const {
+    return std::ldexp(1.0, static_cast<int>(shift_)) /
+           std::ldexp(1.0, static_cast<int>(Fixed::kFracBits));
 }
 
 }  // namespace wfqs::wfq

@@ -12,6 +12,10 @@
 // minimum time stamp M_min still in the sort/retrieve circuit. This is
 // the feedback path that makes the sorter "integral to the operation of
 // the entire scheduler" (§II-A).
+//
+// TagQuantizer is the step after the clock: it maps fixed-point virtual
+// finish times onto the sorter's W-bit tag space (the rounding here is
+// what creates the duplicate tag values of §III-C/D).
 #pragma once
 
 #include <cstdint>
@@ -73,6 +77,31 @@ private:
     std::vector<Flow> flows_;
     std::priority_queue<IdleEvent, std::vector<IdleEvent>, std::greater<IdleEvent>>
         idle_events_;
+};
+
+/// Maps fixed-point virtual finish times onto the sorter's integer tag
+/// space: tag = floor(F · 2^granularity). Positive granularity keeps
+/// fractional virtual-time bits; *negative* granularity makes one tag
+/// step cover 2^-g virtual-time units — the knob that trades timestamp
+/// precision against the tag-window span (§III-D rounding: coarser steps
+/// produce more duplicate tags but let a small tag word cover a large
+/// scheduling horizon, which is how a 12-bit sorter serves a deep
+/// buffer).
+class TagQuantizer {
+public:
+    explicit TagQuantizer(int granularity_bits = 0);
+
+    std::uint64_t quantize(Fixed virtual_finish) const;
+
+    /// Invert a quantized tag back to the virtual-time domain (the lower
+    /// edge of its step).
+    Fixed dequantize(std::uint64_t tag) const;
+
+    /// The virtual-time span covered by one tag step.
+    double tag_step_virtual() const;
+
+private:
+    unsigned shift_;  ///< kFracBits - granularity
 };
 
 }  // namespace wfqs::wfq

@@ -180,9 +180,8 @@ TEST(Conformance, MatcherAllZeroAndBoundaryTargets) {
 TEST(Conformance, WfqMeetsGpsDepartureBound) {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
         SchedulerDiffConfig cfg;
-        cfg.kind = SchedulerDiffConfig::Kind::kWfq;
         cfg.seed = seed;
-        const auto err = diff_scheduler_vs_gps(cfg);
+        const auto err = diff_pifo_vs_gps(sched_prog::RankPolicy::kWfq, cfg);
         EXPECT_EQ(err, std::nullopt) << "seed " << seed << ": " << *err;
     }
 }
@@ -190,15 +189,14 @@ TEST(Conformance, WfqMeetsGpsDepartureBound) {
 TEST(Conformance, Wf2qMeetsGpsDepartureBound) {
     // Zero slack is intentional: exact WF2Q obeys the same Parekh-
     // Gallager bound as WFQ. This test originally failed by up to
-    // 3.4 Lmax/r because Wf2qScheduler gated eligibility on the flat
-    // WF2Q+ virtual clock, which lags GPS whenever part of the flow set
-    // idles; the scheduler now drives eligibility from the exact
-    // GPS-tracking clock (see wf2q_scheduler.hpp).
+    // 3.4 Lmax/r because eligibility was gated on the flat WF2Q+ virtual
+    // clock, which lags GPS whenever part of the flow set idles; the
+    // WF2Q+ rank policy drives eligibility from the exact GPS-tracking
+    // clock (see sched_prog/rank.cpp).
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
         SchedulerDiffConfig cfg;
-        cfg.kind = SchedulerDiffConfig::Kind::kWf2q;
         cfg.seed = seed;
-        const auto err = diff_scheduler_vs_gps(cfg);
+        const auto err = diff_pifo_vs_gps(sched_prog::RankPolicy::kWf2q, cfg);
         EXPECT_EQ(err, std::nullopt) << "seed " << seed << ": " << *err;
     }
 }
@@ -209,13 +207,12 @@ TEST(Conformance, WfqOnMultibitTreeMeetsQuantizedBound) {
     // real time is one quantum of virtual time at the slowest active
     // rate. A generous fixed slack covers that coarsening.
     SchedulerDiffConfig cfg;
-    cfg.kind = SchedulerDiffConfig::Kind::kWfq;
     cfg.queue = baselines::QueueKind::MultibitTree;
     cfg.tag_granularity_bits = -4;
     cfg.range_bits = 28;
     cfg.slack_s = 200e-6;
     cfg.seed = 4;
-    const auto err = diff_scheduler_vs_gps(cfg);
+    const auto err = diff_pifo_vs_gps(sched_prog::RankPolicy::kWfq, cfg);
     EXPECT_EQ(err, std::nullopt) << *err;
 }
 

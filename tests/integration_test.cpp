@@ -8,6 +8,8 @@
 //     time of the fluid ideal), while FIFO violates it badly.
 //  3. WFQ bandwidth shares track weights through overload (Jain index).
 //  4. Binning as the sort structure degrades QoS (the §II-B argument).
+//  5. The fair-queueing rank policies reproduce pinned departure
+//     fingerprints, schedule for schedule.
 #include <gtest/gtest.h>
 
 #include "analysis/delay_stats.hpp"
@@ -16,22 +18,30 @@
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 #include "scheduler/round_robin.hpp"
-#include "scheduler/wfq_scheduler.hpp"
 
 namespace wfqs {
 namespace {
 
 constexpr net::TimeNs kSecond = 1'000'000'000;
 
-scheduler::FairQueueingScheduler::Config wfq_config(std::uint64_t rate) {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
+sched_prog::PifoScheduler::Config wfq_config(std::uint64_t rate) {
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = rate;
     // One tag step = 64 virtual-time units: coarse enough that a 20-bit
     // tag window covers the deepest buffer backlog (see TagQuantizer).
-    cfg.tag_granularity_bits = -6;
+    cfg.rank.tag_granularity_bits = -6;
     return cfg;
+}
+
+/// A fair-queueing scheduler over one fresh `kind` queue per sort stage.
+sched_prog::PifoScheduler make_fq(const sched_prog::PifoScheduler::Config& cfg,
+                                  baselines::QueueKind kind,
+                                  baselines::QueueParams params = {}) {
+    return sched_prog::PifoScheduler(
+        cfg, [kind, params] { return baselines::make_tag_queue(kind, params); });
 }
 
 TEST(Integration, SorterAndHeapProduceIdenticalDepartures) {
@@ -39,9 +49,7 @@ TEST(Integration, SorterAndHeapProduceIdenticalDepartures) {
     // for a heap must not change a single departure.
     const std::uint64_t rate = 20'000'000;
     auto run_with = [&](baselines::QueueKind kind) {
-        scheduler::FairQueueingScheduler sched(
-            wfq_config(rate),
-            baselines::make_tag_queue(kind, {20, 1 << 16}));
+        auto sched = make_fq(wfq_config(rate), kind, {20, 1 << 16});
         auto flows = net::make_mixed_profile(kSecond, 99);
         net::SimDriver driver(rate);
         return driver.run(sched, flows);
@@ -61,8 +69,7 @@ TEST(Integration, SorterAndHeapProduceIdenticalDepartures) {
 TEST(Integration, BinaryTreeSorterAlsoMatches) {
     const std::uint64_t rate = 20'000'000;
     auto run_with = [&](baselines::QueueKind kind) {
-        scheduler::FairQueueingScheduler sched(
-            wfq_config(rate), baselines::make_tag_queue(kind, {20, 1 << 16}));
+        auto sched = make_fq(wfq_config(rate), kind, {20, 1 << 16});
         auto flows = net::make_voip_heavy_profile(kSecond / 2, 7);
         net::SimDriver driver(rate);
         return driver.run(sched, flows);
@@ -76,9 +83,8 @@ TEST(Integration, BinaryTreeSorterAlsoMatches) {
 
 TEST(Integration, WfqRespectsGpsDelayBound) {
     const std::uint64_t rate = 20'000'000;
-    scheduler::FairQueueingScheduler sched(
-        wfq_config(rate),
-        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+    auto sched =
+        make_fq(wfq_config(rate), baselines::QueueKind::MultibitTree, {20, 1 << 16});
     auto flows = net::make_mixed_profile(kSecond, 5);
     std::vector<std::uint32_t> weights;
     for (const auto& f : flows) weights.push_back(f.weight);
@@ -110,9 +116,8 @@ TEST(Integration, FifoViolatesGpsBoundUnderCrossTraffic) {
 
 TEST(Integration, WfqSharesTrackWeightsUnderOverload) {
     const std::uint64_t rate = 10'000'000;
-    scheduler::FairQueueingScheduler sched(
-        wfq_config(rate),
-        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+    auto sched =
+        make_fq(wfq_config(rate), baselines::QueueKind::MultibitTree, {20, 1 << 16});
     std::vector<net::FlowSpec> flows;
     for (std::uint32_t w : {1u, 2u, 4u, 8u})
         flows.push_back(
@@ -133,8 +138,7 @@ TEST(Integration, BinningDegradesVoipDelay) {
     // under binning is measurably worse than under the exact sorter.
     const std::uint64_t rate = 20'000'000;
     auto run_with = [&](baselines::QueueKind kind) {
-        scheduler::FairQueueingScheduler sched(
-            wfq_config(rate), baselines::make_tag_queue(kind, {20, 1 << 16}));
+        auto sched = make_fq(wfq_config(rate), kind, {20, 1 << 16});
         auto flows = net::make_voip_heavy_profile(kSecond / 2, 21);
         net::SimDriver driver(rate);
         const auto result = driver.run(sched, flows);
@@ -151,8 +155,7 @@ TEST(Integration, BinningDegradesVoipDelay) {
 
 TEST(Integration, ThroughputReportSaturatesLink) {
     const std::uint64_t rate = 10'000'000;
-    scheduler::FairQueueingScheduler sched(
-        wfq_config(rate), baselines::make_tag_queue(baselines::QueueKind::Heap));
+    auto sched = make_fq(wfq_config(rate), baselines::QueueKind::Heap);
     std::vector<net::FlowSpec> flows;
     flows.push_back(
         {std::make_unique<net::CbrSource>(20'000'000, 1000, 0, kSecond / 4), 1});
@@ -164,13 +167,14 @@ TEST(Integration, ThroughputReportSaturatesLink) {
 }
 
 TEST(Integration, AllFairQueueingVariantsRunTheSorter) {
-    // WFQ, WF2Q+, SCFQ all feed the same sort/retrieve circuit (§II).
-    for (const auto kind : wfq::all_fair_queueing_kinds()) {
-        scheduler::FairQueueingScheduler::Config cfg = wfq_config(20'000'000);
-        cfg.algorithm = kind;
-        scheduler::FairQueueingScheduler sched(
-            cfg,
-            baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+    // WFQ, WF2Q+, SCFQ and FBFQ all feed the same sort/retrieve circuit
+    // (§II).
+    using sched_prog::RankPolicy;
+    for (const auto policy :
+         {RankPolicy::kWfq, RankPolicy::kWf2q, RankPolicy::kScfq, RankPolicy::kFbfq}) {
+        sched_prog::PifoScheduler::Config cfg = wfq_config(20'000'000);
+        cfg.policy = policy;
+        auto sched = make_fq(cfg, baselines::QueueKind::MultibitTree, {20, 1 << 16});
         auto flows = net::make_mixed_profile(kSecond / 4, 3);
         net::SimDriver driver(20'000'000);
         const auto result = driver.run(sched, flows);
@@ -178,6 +182,81 @@ TEST(Integration, AllFairQueueingVariantsRunTheSorter) {
         EXPECT_EQ(result.records.size() + result.dropped_packets,
                   result.offered_packets)
             << sched.name();
+    }
+}
+
+// ------------------------------------------------ departure fingerprints
+
+/// FNV-1a over every record's (id, service start, departure): one 64-bit
+/// value pins a whole schedule.
+std::uint64_t departure_fingerprint(const net::SimResult& result) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xFF;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const auto& r : result.records) {
+        mix(r.packet.id);
+        mix(r.service_start_ns);
+        mix(r.departure_ns);
+    }
+    return h;
+}
+
+/// bench/qos_comparison's workload at seed shift 0: 4 VoIP flows (w=8)
+/// against 6 saturating on-off Pareto flows (w=1) for 2 s.
+std::vector<net::FlowSpec> qos_comparison_flows() {
+    std::vector<net::FlowSpec> flows;
+    for (std::uint64_t i = 0; i < 4; ++i)
+        flows.push_back({std::make_unique<net::VoipSource>(2 * kSecond, 40 + i), 8});
+    for (std::uint64_t i = 0; i < 6; ++i)
+        flows.push_back({std::make_unique<net::OnOffParetoSource>(
+                             20'000'000, 1500, 0.2, 0.1, 1.5, 2 * kSecond, 70 + i),
+                         1});
+    return flows;
+}
+
+TEST(Integration, FairQueueingPoliciesReproducePinnedDepartures) {
+    // Recorded from the dedicated fair-queueing schedulers these rank
+    // policies replaced (tag computers behind one sorter for WFQ, SCFQ
+    // and FBFQ; a two-sorter promotion loop for WF2Q) on the
+    // qos_comparison workload and Trace.ReplayDrivesIdenticalSchedule's
+    // mixed profile, 20 Mb/s, tag step -6. Both sorter backends recorded
+    // the same value for every case.
+    using sched_prog::RankPolicy;
+    struct Case {
+        bool qos_workload;
+        RankPolicy policy;
+        std::uint64_t fingerprint;
+    };
+    const Case cases[] = {
+        {true, RankPolicy::kWfq, 0xb7643e2a6119cf9aULL},
+        {true, RankPolicy::kScfq, 0x6f91f5e75e94c115ULL},
+        {true, RankPolicy::kFbfq, 0x6c4cb79d2027685dULL},
+        {true, RankPolicy::kWf2q, 0xb7643e2a6119cf9aULL},
+        {false, RankPolicy::kWfq, 0xc18b81f264d4e3d6ULL},
+        {false, RankPolicy::kScfq, 0x9bef35567aa53496ULL},
+        {false, RankPolicy::kFbfq, 0x28fdc83f93eb6b66ULL},
+        {false, RankPolicy::kWf2q, 0xbbf0bdd9c6d364beULL},
+    };
+    const std::uint64_t rate = 20'000'000;
+    for (const Case& c : cases) {
+        for (const auto backend : baselines::all_sorter_backends()) {
+            SCOPED_TRACE(std::string(c.qos_workload ? "qos_comparison " : "trace ") +
+                         sched_prog::rank_policy_name(c.policy) + " " +
+                         baselines::backend_name(backend));
+            sched_prog::PifoScheduler::Config cfg = wfq_config(rate);
+            cfg.policy = c.policy;
+            auto sched = make_fq(cfg, baselines::QueueKind::MultibitTree,
+                                 {20, 1 << 16, 1, backend});
+            auto flows = c.qos_workload ? qos_comparison_flows()
+                                        : net::make_mixed_profile(kSecond / 5, 13);
+            net::SimDriver driver(rate);
+            const auto result = driver.run(sched, flows);
+            EXPECT_EQ(departure_fingerprint(result), c.fingerprint);
+        }
     }
 }
 

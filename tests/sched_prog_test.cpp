@@ -16,6 +16,7 @@
 
 #include <set>
 
+#include "fault/errors.hpp"
 #include "proptest/differ.hpp"
 #include "proptest/proptest.hpp"
 #include "ref/ref_rank_oracle.hpp"
@@ -72,8 +73,8 @@ TEST(RankFunction, IndependentInstancesAgree) {
             EXPECT_EQ(ra.rank, rb.rank) << a->name() << " packet " << id;
             EXPECT_EQ(ra.start, rb.start) << a->name() << " packet " << id;
             if (id % 3 == 0) {
-                a->on_service(pkt, now);
-                b->on_service(pkt, now);
+                a->on_service(pkt, now, ra.rank);
+                b->on_service(pkt, now, rb.rank);
             }
         }
     }
@@ -168,6 +169,104 @@ TEST(PifoScheduler, Wf2qBuildsTwoQueuesAndDrainsCompletely) {
         EXPECT_EQ(pkt->id, expect++);
     }
     EXPECT_EQ(expect, 21u);
+}
+
+/// TagQueue decorator whose every `period`-th insert throws a FaultError
+/// before reaching the inner queue, the way a parity check on the
+/// insert's tree walk refuses the op; recover() forwards and is counted.
+class FaultyInsertQueue final : public baselines::TagQueue {
+public:
+    FaultyInsertQueue(std::unique_ptr<TagQueue> inner, std::uint64_t period,
+                      std::uint64_t* recoveries)
+        : inner_(std::move(inner)), period_(period), recoveries_(recoveries) {}
+
+    void insert(std::uint64_t tag, std::uint32_t payload) override {
+        if (++inserts_ % period_ == 0) throw fault::FaultError("injected insert fault");
+        inner_->insert(tag, payload);
+    }
+    std::optional<baselines::QueueEntry> pop_min() override { return inner_->pop_min(); }
+    std::optional<baselines::QueueEntry> peek_min() override { return inner_->peek_min(); }
+    std::size_t size() const override { return inner_->size(); }
+    std::string name() const override { return inner_->name(); }
+    std::string model() const override { return inner_->model(); }
+    std::string complexity() const override { return inner_->complexity(); }
+    bool recover() override {
+        ++*recoveries_;
+        return inner_->recover();
+    }
+
+private:
+    std::unique_ptr<TagQueue> inner_;
+    std::uint64_t period_;
+    std::uint64_t inserts_ = 0;
+    std::uint64_t* recoveries_;
+};
+
+/// Model-backend multi-bit tree queues behind FaultyInsertQueue.
+sched_prog::QueueFactory faulty_model_factory(std::uint64_t period,
+                                              std::uint64_t* recoveries) {
+    return [=] {
+        return std::make_unique<FaultyInsertQueue>(
+            baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}),
+            period, recoveries);
+    };
+}
+
+TEST(PifoScheduler, FaultedInsertReleasesSlotAndBufferCell) {
+    // 16 cells: a 320 B packet (5 cells) plus a 640 B one (10 cells) fit,
+    // but not if the faulted attempt at the second had leaked its cells —
+    // the retry would then be a tail drop.
+    std::uint64_t recoveries = 0;
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.buffer = {1024, 64};
+    sched_prog::PifoScheduler sched(cfg, faulty_model_factory(2, &recoveries));
+    const auto f = sched.add_flow(1);
+    ASSERT_TRUE(sched.enqueue(make_packet(1, f, 320, 0), 0));
+    EXPECT_THROW(sched.enqueue(make_packet(2, f, 640, 0), 0), fault::FaultError);
+    EXPECT_EQ(sched.queued_packets(), 1u);
+    EXPECT_TRUE(sched.recover());
+    EXPECT_EQ(recoveries, 1u);
+    ASSERT_TRUE(sched.enqueue(make_packet(2, f, 640, 0), 0));
+    EXPECT_EQ(sched.drops(), 0u);
+    EXPECT_EQ(sched.dequeue(10)->id, 1u);
+    EXPECT_EQ(sched.dequeue(20)->id, 2u);
+    EXPECT_FALSE(sched.has_packets());
+}
+
+TEST(PifoScheduler, RecoverScrubsBothSortStructures) {
+    std::uint64_t recoveries = 0;
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.policy = RankPolicy::kWf2q;
+    sched_prog::PifoScheduler sched(cfg, faulty_model_factory(1000, &recoveries));
+    EXPECT_TRUE(sched.recover());
+    EXPECT_EQ(recoveries, 2u);
+    // The software baselines have no scrub path.
+    sched_prog::PifoScheduler heap(cfg, heap_factory());
+    EXPECT_FALSE(heap.recover());
+}
+
+TEST(PifoScheduler, SimDriverRecoversFromFaultedInserts) {
+    // The driver's scheduler-recovery path end to end: every 25th sorter
+    // insert faults, the scheduler releases the packet's slot and cell,
+    // the driver recovers the model sorter and retries, and every offered
+    // packet still departs.
+    std::uint64_t recoveries = 0;
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = 20'000'000;
+    sched_prog::PifoScheduler sched(cfg, faulty_model_factory(25, &recoveries));
+    auto flows = net::make_mixed_profile(1'000'000'000 / 5, 13);
+    obs::MetricsRegistry reg;
+    net::SimDriver driver(20'000'000);
+    driver.attach_metrics(reg);
+    const auto result = driver.run(sched, flows);
+
+    const auto faults = reg.counter_values().at("net.sorter_faults");
+    EXPECT_GT(faults, 0u);
+    EXPECT_EQ(faults, result.sorter_faults);
+    EXPECT_EQ(recoveries, faults);
+    EXPECT_EQ(result.dropped_packets, 0u);
+    EXPECT_EQ(result.records.size(), result.offered_packets);
+    EXPECT_FALSE(sched.has_packets());
 }
 
 // --------------------------------------------------- SpPifoScheduler

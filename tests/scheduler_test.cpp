@@ -6,10 +6,10 @@
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 #include "scheduler/packet_buffer.hpp"
 #include "scheduler/round_robin.hpp"
-#include "scheduler/wfq_scheduler.hpp"
 
 namespace wfqs::scheduler {
 namespace {
@@ -173,20 +173,30 @@ TEST(Fifo, ServesInArrivalOrder) {
     EXPECT_EQ(fifo.dequeue(60)->id, 3u);
 }
 
-// --------------------------------------------------- WFQ scheduler
+// ------------------------------------- fair queueing (PIFO rank policies)
+
+using sched_prog::PifoScheduler;
+
+/// `cfg` over a fresh `kind` queue, at the -4 tag step these tests were
+/// calibrated with.
+PifoScheduler make_fq(PifoScheduler::Config cfg,
+                      baselines::QueueKind kind = baselines::QueueKind::Heap) {
+    cfg.rank.tag_granularity_bits = -4;
+    return PifoScheduler(cfg, [kind] { return baselines::make_tag_queue(kind); });
+}
 
 TEST(FairQueueing, SharesFollowWeightsWithVariableSizes) {
-    FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = 10'000'000;
-    FairQueueingScheduler wfq(cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = 10'000'000;
+    auto wfq = make_fq(cfg);
     const auto s = measure_shares(wfq, 3, 1, 1000, 250);
     EXPECT_NEAR(static_cast<double>(s.bytes0) / s.bytes1, 3.0, 0.3);
 }
 
 TEST(FairQueueing, DropsWhenBufferFull) {
-    FairQueueingScheduler::Config cfg;
+    PifoScheduler::Config cfg;
     cfg.buffer = {1024, 64};
-    FairQueueingScheduler wfq(cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    auto wfq = make_fq(cfg);
     wfq.add_flow(1);
     net::TimeNs t = 0;
     std::uint64_t accepted = 0;
@@ -197,11 +207,10 @@ TEST(FairQueueing, DropsWhenBufferFull) {
 }
 
 TEST(FairQueueing, NameReflectsAlgorithmAndQueue) {
-    FairQueueingScheduler::Config cfg;
-    cfg.algorithm = wfq::FairQueueingKind::Scfq;
-    FairQueueingScheduler s(cfg,
-                            baselines::make_tag_queue(baselines::QueueKind::Skiplist));
-    EXPECT_EQ(s.name(), "SCFQ+skip list");
+    PifoScheduler::Config cfg;
+    cfg.policy = sched_prog::RankPolicy::kScfq;
+    const auto s = make_fq(cfg, baselines::QueueKind::Skiplist);
+    EXPECT_EQ(s.name(), "PIFO-scfq(skip list)");
 }
 
 }  // namespace

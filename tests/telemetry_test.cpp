@@ -21,7 +21,7 @@
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
 #include "proptest/proptest.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 namespace wfqs {
 namespace {
@@ -391,13 +391,14 @@ bool identical_results(const net::SimResult& a, const net::SimResult& b) {
 
 constexpr std::uint64_t kRate = 50'000'000;
 
-scheduler::FairQueueingScheduler make_wfq() {
-    scheduler::FairQueueingScheduler::Config cfg;
-    cfg.link_rate_bps = kRate;
-    cfg.tag_granularity_bits = -6;
-    return scheduler::FairQueueingScheduler(
-        cfg,
-        baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}));
+sched_prog::PifoScheduler make_wfq() {
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = kRate;
+    cfg.rank.tag_granularity_bits = -6;
+    return sched_prog::PifoScheduler(cfg, [] {
+        return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                         {20, 1 << 16});
+    });
 }
 
 TEST(DriverTelemetry, AttachedMetricsCountEveryPacket) {

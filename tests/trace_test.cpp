@@ -9,7 +9,7 @@
 #include "net/sim_driver.hpp"
 #include "net/trace.hpp"
 #include "net/traffic_gen.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 
 namespace wfqs::net {
 namespace {
@@ -84,12 +84,13 @@ TEST(Trace, ReplaySourcesMatchPerFlowStreams) {
 TEST(Trace, ReplayDrivesIdenticalSchedule) {
     const std::uint64_t rate = 20'000'000;
     auto run = [&](std::vector<FlowSpec> flows) {
-        scheduler::FairQueueingScheduler::Config cfg;
-        cfg.link_rate_bps = rate;
-        cfg.tag_granularity_bits = -6;
-        scheduler::FairQueueingScheduler sched(
-            cfg, baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                           {20, 1 << 16}));
+        sched_prog::PifoScheduler::Config cfg;
+        cfg.rank.link_rate_bps = rate;
+        cfg.rank.tag_granularity_bits = -6;
+        sched_prog::PifoScheduler sched(cfg, [] {
+            return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                             {20, 1 << 16});
+        });
         SimDriver driver(rate);
         return driver.run(sched, flows);
     };

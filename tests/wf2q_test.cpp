@@ -1,7 +1,7 @@
-// Tests for the two-sorter WF2Q eligibility scheduler: basic mechanics,
-// eligibility gating, and the worst-case-fairness property that
-// motivates WF2Q over WFQ (a high-weight flow cannot run arbitrarily
-// ahead of its GPS schedule).
+// Tests for two-sorter WF2Q eligibility scheduling (PifoScheduler with the
+// WF2Q+ rank policy): basic mechanics, eligibility gating, and the
+// worst-case-fairness property that motivates WF2Q over WFQ (a
+// high-weight flow cannot run arbitrarily ahead of its GPS schedule).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +11,7 @@
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
-#include "scheduler/wf2q_scheduler.hpp"
-#include "scheduler/wfq_scheduler.hpp"
+#include "sched_prog/pifo_scheduler.hpp"
 #include "wfq/gps_fluid.hpp"
 
 namespace wfqs::scheduler {
@@ -20,13 +19,21 @@ namespace {
 
 constexpr net::TimeNs kSecond = 1'000'000'000;
 
-Wf2qScheduler make_wf2q(std::uint64_t rate,
+using sched_prog::PifoScheduler;
+using sched_prog::RankPolicy;
+
+PifoScheduler::Config fq_config(RankPolicy policy, std::uint64_t rate) {
+    PifoScheduler::Config cfg;
+    cfg.policy = policy;
+    cfg.rank.link_rate_bps = rate;
+    cfg.rank.tag_granularity_bits = -4;
+    return cfg;
+}
+
+PifoScheduler make_wf2q(std::uint64_t rate,
                         baselines::QueueKind kind = baselines::QueueKind::Heap) {
-    Wf2qScheduler::Config cfg;
-    cfg.link_rate_bps = rate;
-    cfg.tag_granularity_bits = -4;
-    return Wf2qScheduler(cfg, baselines::make_tag_queue(kind, {20, 1 << 16}),
-                         baselines::make_tag_queue(kind, {20, 1 << 16}));
+    return PifoScheduler(fq_config(RankPolicy::kWf2q, rate),
+                         [kind] { return baselines::make_tag_queue(kind, {20, 1 << 16}); });
 }
 
 TEST(Wf2q, ServesSinglePacket) {
@@ -68,12 +75,10 @@ TEST(Wf2q, EligibilityHoldsBackFuturePackets) {
 }
 
 TEST(Wf2q, DropsWhenBufferFull) {
-    Wf2qScheduler::Config cfg;
-    cfg.link_rate_bps = 1'000'000;
+    PifoScheduler::Config cfg = fq_config(RankPolicy::kWf2q, 1'000'000);
     cfg.buffer = {1024, 64};
-    Wf2qScheduler sched(cfg,
-                        baselines::make_tag_queue(baselines::QueueKind::Heap),
-                        baselines::make_tag_queue(baselines::QueueKind::Heap));
+    PifoScheduler sched(
+        cfg, [] { return baselines::make_tag_queue(baselines::QueueKind::Heap); });
     sched.add_flow(1);
     std::uint64_t accepted = 0;
     for (int i = 0; i < 100; ++i)
@@ -154,11 +159,9 @@ TEST(Wf2q, BoundsServiceLeadUnlikeWfq) {
         return worst_lead;
     };
 
-    scheduler::FairQueueingScheduler::Config wfq_cfg;
-    wfq_cfg.link_rate_bps = rate;
-    wfq_cfg.tag_granularity_bits = -4;
-    scheduler::FairQueueingScheduler wfq(
-        wfq_cfg, baselines::make_tag_queue(baselines::QueueKind::Heap));
+    PifoScheduler wfq(fq_config(RankPolicy::kWfq, rate), [] {
+        return baselines::make_tag_queue(baselines::QueueKind::Heap);
+    });
     auto wf2q = make_wf2q(rate);
 
     const double wfq_lead = heavy_lead_s(wfq);

@@ -1,13 +1,14 @@
 // Tests for the fair-queueing substrate: GPS fluid reference, the
-// fixed-point WFQ virtual clock (incl. paper eq. (1)), the WF2Q+/SCFQ
-// variants, and the tag quantizer.
+// fixed-point WFQ virtual clock (incl. paper eq. (1)), the WFQ / WF2Q+ /
+// SCFQ / FBFQ rank policies, and the tag quantizer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/rng.hpp"
+#include "sched_prog/rank.hpp"
 #include "wfq/gps_fluid.hpp"
-#include "wfq/tag_computer.hpp"
 #include "wfq/virtual_clock.hpp"
 
 namespace wfqs::wfq {
@@ -192,119 +193,136 @@ TEST(WfqVirtualTime, Eq1ScalesWithBusyWeight) {
 }
 
 // ----------------------------------------------------------- tag family
+//
+// The fair-queueing family lives on as sched_prog rank policies; these
+// tests drive them at granularity 0, so a rank is the virtual finish
+// time truncated to whole virtual-time units.
 
-TEST(TagComputers, AllProduceMonotoneTagsPerFlow) {
-    for (const auto kind : all_fair_queueing_kinds()) {
-        auto tc = make_tag_computer(kind, 1'000'000);
-        const FlowId f = tc->add_flow(3);
-        Fixed prev;
+using sched_prog::RankPolicy;
+
+constexpr RankPolicy kFairQueueingPolicies[] = {RankPolicy::kWfq, RankPolicy::kWf2q,
+                                                RankPolicy::kScfq, RankPolicy::kFbfq};
+
+std::unique_ptr<sched_prog::RankFunction> make_fq_rank(RankPolicy policy) {
+    sched_prog::RankConfig cfg;
+    cfg.link_rate_bps = 1'000'000;
+    cfg.tag_granularity_bits = 0;
+    return sched_prog::make_rank_function(policy, cfg);
+}
+
+/// Rank of a `size_bytes` packet on `flow` arriving at `now`.
+std::uint64_t rank_of(sched_prog::RankFunction& fn, FlowId flow, TimeNs now,
+                      std::uint32_t size_bytes) {
+    net::Packet p;
+    p.flow = flow;
+    p.size_bytes = size_bytes;
+    p.arrival_ns = now;
+    return fn.on_arrival(p, now).rank;
+}
+
+/// Report the service of a packet of rank `rank` at `now`.
+void serve(sched_prog::RankFunction& fn, TimeNs now, std::uint64_t rank) {
+    fn.on_service(net::Packet{}, now, rank);
+}
+
+TEST(FairQueueingRanks, AllProduceMonotoneTagsPerFlow) {
+    for (const auto policy : kFairQueueingPolicies) {
+        auto fn = make_fq_rank(policy);
+        const FlowId f = fn->add_flow(3);
+        std::uint64_t prev = 0;
         TimeNs t = 0;
-        Rng rng(static_cast<std::uint64_t>(kind) + 1);
+        Rng rng(static_cast<std::uint64_t>(policy) + 1);
         for (int i = 0; i < 200; ++i) {
             t += rng.next_below(100'000);
-            const Fixed tag = tc->on_arrival(f, t, 8000);
-            EXPECT_GT(tag, prev) << tc->name();
-            prev = tag;
+            const std::uint64_t rank = rank_of(*fn, f, t, 1000);
+            EXPECT_GT(rank, prev) << fn->name();
+            prev = rank;
         }
     }
 }
 
-TEST(TagComputers, WeightScalesServiceInterval) {
-    for (const auto kind : all_fair_queueing_kinds()) {
-        auto tc = make_tag_computer(kind, 1'000'000);
-        const FlowId light = tc->add_flow(1);
-        const FlowId heavy = tc->add_flow(10);
+TEST(FairQueueingRanks, WeightScalesServiceInterval) {
+    for (const auto policy : kFairQueueingPolicies) {
+        auto fn = make_fq_rank(policy);
+        const FlowId light = fn->add_flow(1);
+        const FlowId heavy = fn->add_flow(10);
         // Back-to-back packets on each flow at t=0: the finish-tag spacing
         // within a flow is L/phi.
-        const Fixed l1 = tc->on_arrival(light, 0, 1000);
-        const Fixed l2 = tc->on_arrival(light, 0, 1000);
-        const Fixed h1 = tc->on_arrival(heavy, 0, 1000);
-        const Fixed h2 = tc->on_arrival(heavy, 0, 1000);
-        EXPECT_NEAR((l2 - l1).to_double(), 1000.0, 1e-6) << tc->name();
-        EXPECT_NEAR((h2 - h1).to_double(), 100.0, 1e-6) << tc->name();
+        const std::uint64_t l1 = rank_of(*fn, light, 0, 125);
+        const std::uint64_t l2 = rank_of(*fn, light, 0, 125);
+        const std::uint64_t h1 = rank_of(*fn, heavy, 0, 125);
+        const std::uint64_t h2 = rank_of(*fn, heavy, 0, 125);
+        EXPECT_EQ(l2 - l1, 1000u) << fn->name();
+        EXPECT_EQ(h2 - h1, 100u) << fn->name();
     }
 }
 
 TEST(Scfq, VirtualTimeFollowsServiceTag) {
-    ScfqTagComputer scfq(1'000'000);
-    const FlowId f = scfq.add_flow(1);
-    const Fixed t1 = scfq.on_arrival(f, 0, 1000);
-    scfq.on_service_start(t1, 10);
-    EXPECT_EQ(scfq.virtual_time(), t1);
+    auto scfq = make_fq_rank(RankPolicy::kScfq);
+    const FlowId f = scfq->add_flow(1);
+    const FlowId g = scfq->add_flow(1);
+    const std::uint64_t t1 = rank_of(*scfq, f, 0, 125);
+    serve(*scfq, 10, t1);
     // A new arrival on another flow starts from the service tag.
-    const FlowId g = scfq.add_flow(1);
-    const Fixed t2 = scfq.on_arrival(g, 20, 1000);
-    EXPECT_EQ(t2, t1 + Fixed::from_int(1000));
-}
-
-TEST(Wf2qPlus, StartFloorAdvancesVirtualTime) {
-    Wf2qPlusTagComputer wf(1'000'000);
-    const FlowId f = wf.add_flow(1);
-    wf.on_arrival(f, 0, 1000);
-    const Fixed big = Fixed::from_int(5000);
-    wf.on_service_start(big, 100);
-    EXPECT_EQ(wf.virtual_time(), big);
-    // Lower tags do not move V backwards (only the elapsed-work term
-    // advances it a hair between the two service events).
-    wf.on_service_start(Fixed::from_int(10), 200);
-    EXPECT_GE(wf.virtual_time(), big);
-    EXPECT_LT(wf.virtual_time(), big + Fixed::from_int(1));
+    EXPECT_EQ(rank_of(*scfq, g, 20, 125), t1 + 1000);
 }
 
 TEST(Fbfq, VirtualTimeAdvancesInFrames) {
     // 12000-bit frames at 1 Mb/s = 12 ms per frame; one flow, weight 1:
-    // V advances by 12000/1 per frame boundary.
-    FbfqTagComputer fbfq(1'000'000);
-    const FlowId f = fbfq.add_flow(1);
-    fbfq.on_arrival(f, 0, 1000);
-    EXPECT_EQ(fbfq.virtual_time(), Fixed::from_int(0));
-    fbfq.on_service_start(Fixed{}, 11'999'999);  // still inside frame 0
-    EXPECT_EQ(fbfq.virtual_time(), Fixed::from_int(0));
-    fbfq.on_service_start(Fixed{}, 12'000'000);  // frame boundary
-    EXPECT_EQ(fbfq.virtual_time(), Fixed::from_int(12000));
+    // V advances by 12000/1 per frame boundary. A probe arrival on the
+    // flow starts at max(V, its previous finish).
+    auto fbfq = make_fq_rank(RankPolicy::kFbfq);
+    const FlowId f = fbfq->add_flow(1);
+    EXPECT_EQ(rank_of(*fbfq, f, 0, 125), 1000u);
+    EXPECT_EQ(rank_of(*fbfq, f, 11'999'999, 125), 2000u);  // still frame 0
+    EXPECT_EQ(rank_of(*fbfq, f, 12'000'000, 125), 13000u);  // V = 12000
 }
 
 TEST(Fbfq, RecalibratesToTheServicePoint) {
     // The linear clock lags when only part of the weight is busy; the
     // frame boundary floors V by the tag most recently dispatched so the
     // lag is bounded by one frame.
-    FbfqTagComputer fbfq(1'000'000);
-    const FlowId a = fbfq.add_flow(1);
-    fbfq.add_flow(9);  // mostly idle weight drags the linear clock
-    fbfq.on_arrival(a, 0, 10000);
-    // Service reaches tag 10000 while the linear clock has crawled to
-    // 12000/10 per frame.
-    fbfq.on_service_start(Fixed::from_int(10000), 11'000'000);
-    EXPECT_LT(fbfq.virtual_time(), Fixed::from_int(10000));
-    fbfq.on_service_start(Fixed::from_int(10000), 12'000'000);  // boundary
-    EXPECT_GE(fbfq.virtual_time(), Fixed::from_int(10000));
+    auto fbfq = make_fq_rank(RankPolicy::kFbfq);
+    const FlowId a = fbfq->add_flow(1);
+    const FlowId probe = fbfq->add_flow(9);  // mostly idle weight drags the clock
+    const std::uint64_t served = rank_of(*fbfq, a, 0, 1250);
+    // Service reaches tag 10000 while the linear clock is still at 0; a
+    // 72-bit probe on the weight-9 flow finishes 8 units past V.
+    serve(*fbfq, 11'000'000, served);
+    EXPECT_EQ(served, 10000u);
+    EXPECT_EQ(rank_of(*fbfq, probe, 11'000'000, 9), 8u);
+    // The boundary lifts V from 12000/10 to the service point.
+    serve(*fbfq, 12'000'000, served);
+    EXPECT_EQ(rank_of(*fbfq, probe, 12'000'000, 9), served + 8);
 }
 
 TEST(Fbfq, FairnessCloseToWfqUnderSaturation) {
     // §I-B / ref [7]: FBFQ is "less complex than WFQ, but is almost as
     // fair". Finishing tags of two backlogged flows maintain the weight
     // ratio under both clocks.
-    FbfqTagComputer fbfq(1'000'000);
-    WfqTagComputer wfq(1'000'000);
-    const FlowId fa = fbfq.add_flow(3), fb = fbfq.add_flow(1);
-    const FlowId wa = wfq.add_flow(3), wb = wfq.add_flow(1);
-    Fixed fb_last, wb_last, fa_last, wa_last;
+    auto fbfq = make_fq_rank(RankPolicy::kFbfq);
+    auto wfq = make_fq_rank(RankPolicy::kWfq);
+    const FlowId fa = fbfq->add_flow(3), fb = fbfq->add_flow(1);
+    const FlowId wa = wfq->add_flow(3), wb = wfq->add_flow(1);
+    std::uint64_t fb_last = 0, wb_last = 0, fa_last = 0, wa_last = 0;
     for (int i = 0; i < 200; ++i) {
         const TimeNs t = static_cast<TimeNs>(i) * 2'000'000;
-        fa_last = fbfq.on_arrival(fa, t, 1500);
-        fb_last = fbfq.on_arrival(fb, t, 500);
-        wa_last = wfq.on_arrival(wa, t, 1500);
-        wb_last = wfq.on_arrival(wb, t, 500);
+        fa_last = rank_of(*fbfq, fa, t, 188);
+        fb_last = rank_of(*fbfq, fb, t, 63);
+        wa_last = rank_of(*wfq, wa, t, 188);
+        wb_last = rank_of(*wfq, wb, t, 63);
     }
     // Per-flow finish-tag growth (= inverse service share) agrees within
     // a few percent between the two clocks.
-    EXPECT_NEAR(fa_last.to_double() / wa_last.to_double(), 1.0, 0.05);
-    EXPECT_NEAR(fb_last.to_double() / wb_last.to_double(), 1.0, 0.05);
+    EXPECT_NEAR(static_cast<double>(fa_last) / static_cast<double>(wa_last), 1.0, 0.05);
+    EXPECT_NEAR(static_cast<double>(fb_last) / static_cast<double>(wb_last), 1.0, 0.05);
 }
 
 TEST(Fbfq, RejectsBadConfig) {
-    EXPECT_THROW(FbfqTagComputer(0), std::invalid_argument);
-    EXPECT_THROW(FbfqTagComputer(1'000'000, 0), std::invalid_argument);
+    sched_prog::RankConfig cfg;
+    cfg.link_rate_bps = 0;
+    EXPECT_THROW(sched_prog::make_rank_function(RankPolicy::kFbfq, cfg),
+                 std::invalid_argument);
 }
 
 // ------------------------------------------------------------ quantizer

@@ -344,16 +344,15 @@ bool fuzz_matcher(const Options& opt, std::uint64_t round) {
 }
 
 bool fuzz_scheduler(const Options& opt, std::uint64_t round) {
+    using sched_prog::RankPolicy;
     std::vector<SchedulerDiffConfig> configs(3);
-    configs[0].kind = SchedulerDiffConfig::Kind::kWfq;
-    configs[1].kind = SchedulerDiffConfig::Kind::kWf2q;
-    configs[2].kind = SchedulerDiffConfig::Kind::kWfq;
     configs[2].queue = baselines::QueueKind::MultibitTree;
     configs[2].range_bits = 28;
+    const RankPolicy policies[] = {RankPolicy::kWfq, RankPolicy::kWf2q, RankPolicy::kWfq};
     const char* names[] = {"wfq-heap", "wf2q-heap", "wfq-multibit"};
     for (std::size_t i = 0; i < configs.size(); ++i) {
         configs[i].seed = case_seed(opt.seed + i, round);
-        if (auto err = diff_scheduler_vs_gps(configs[i])) {
+        if (auto err = diff_pifo_vs_gps(policies[i], configs[i])) {
             const std::lock_guard<std::mutex> lock(g_print_mutex);
             std::printf("FAIL scheduler-%s (seed %llu): %s\n", names[i],
                         static_cast<unsigned long long>(configs[i].seed),
