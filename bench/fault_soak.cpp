@@ -126,11 +126,11 @@ Options parse_options(int argc, char** argv) {
 constexpr std::size_t kCapacity = 4096;
 constexpr std::uint32_t kPayloadMask = 0xFF'FFFF;
 
-const char* bank_state_name(core::ShardedSorter::BankState s) {
+const char* bank_state_name(core::BankState s) {
     switch (s) {
-        case core::ShardedSorter::BankState::kActive: return "active";
-        case core::ShardedSorter::BankState::kDraining: return "draining";
-        case core::ShardedSorter::BankState::kDetached: return "detached";
+        case core::BankState::kActive: return "active";
+        case core::BankState::kDraining: return "draining";
+        case core::BankState::kDetached: return "detached";
     }
     return "unknown";
 }
@@ -150,11 +150,11 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
     injector.set_default_model(model);
     sim.attach_fault_injector(&injector);
 
-    core::ShardedSorter::Config cfg;
+    core::ShardedConfig cfg;
     cfg.bank = {tree::TreeGeometry::paper(), kCapacity, 24};
     cfg.num_banks = opt.banks;
-    cfg.select = core::ShardedSorter::BankSelect::kFlowHash;
-    core::ShardedSorter sorter(cfg, sim);
+    cfg.select = core::BankSelect::kFlowHash;
+    core::ShardedSorter<core::TagSorter> sorter(cfg, sim);
     if (opt.stuck > 0) {
         // Stuck-at cells land in bank 0's tag-store SRAM — degraded mode's
         // most likely rebuild victim.
@@ -174,7 +174,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
     rcfg.occupancy_skew = 2.0;
     rcfg.min_occupancy = 32;
     rcfg.check_interval = 64;
-    core::ReshardController controller(sorter, rcfg);
+    core::ReshardController<core::TagSorter> controller(sorter, rcfg);
 
     sorter.register_metrics(reporter.registry());
     sim.register_metrics(reporter.registry());
@@ -242,7 +242,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
             for (unsigned i = 0; i < n; ++i) {
                 if (i != 0) os << "\n";
                 os << "bank " << i << " state "
-                   << bank_state_name(static_cast<core::ShardedSorter::BankState>(
+                   << bank_state_name(static_cast<core::BankState>(
                           snaps[i].state.load(std::memory_order_relaxed)))
                    << " occ " << snaps[i].occ.load(std::memory_order_relaxed)
                    << " wait " << snaps[i].wait.load(std::memory_order_relaxed)
@@ -349,7 +349,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
                     std::vector<unsigned> active;
                     for (unsigned i = 0; i < sorter.num_banks(); ++i)
                         if (sorter.bank_state(i) ==
-                            core::ShardedSorter::BankState::kActive)
+                            core::BankState::kActive)
                             active.push_back(i);
                     const unsigned victim = active[rng.next_below(active.size())];
                     if (controller.remove_bank(victim)) {
@@ -405,7 +405,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
     const auto& rstats = controller.stats();
     std::uint64_t detached = 0;
     for (unsigned i = 0; i < sorter.num_banks(); ++i)
-        if (sorter.bank_state(i) == core::ShardedSorter::BankState::kDetached)
+        if (sorter.bank_state(i) == core::BankState::kDetached)
             ++detached;
     std::printf("soak               : %.2f cycles/op (recovery + migration included)\n",
                 soak_cycles);

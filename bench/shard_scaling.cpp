@@ -48,8 +48,8 @@ constexpr int kPrefill = 512;
 constexpr int kPairs = 100000;  // insert+pop pairs after prefill
 constexpr std::size_t kTotalCapacity = 4096;
 
-ShardedSorter::Config sharded_config(unsigned banks) {
-    ShardedSorter::Config cfg;
+ShardedConfig sharded_config(unsigned banks) {
+    ShardedConfig cfg;
     cfg.bank.capacity = kTotalCapacity / banks;
     cfg.num_banks = banks;
     return cfg;
@@ -84,7 +84,7 @@ void drive(Sorter& s, std::uint64_t seed) {
 bool check_n1_identity(std::uint64_t seed) {
     hw::Simulation plain_sim, sharded_sim;
     TagSorter plain(sharded_config(1).bank, plain_sim);
-    ShardedSorter one(sharded_config(1), sharded_sim);
+    ShardedSorter<TagSorter> one(sharded_config(1), sharded_sim);
 
     Rng rng_a(seed), rng_b(seed);
     std::uint64_t tag_a = 0, tag_b = 0;
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
 
     for (const unsigned n : {1u, 2u, 4u, 8u, 16u}) {
         hw::Simulation sim;
-        ShardedSorter sorter(sharded_config(n), sim);
+        ShardedSorter<TagSorter> sorter(sharded_config(n), sim);
         const auto t0 = std::chrono::steady_clock::now();
         drive(sorter, reporter.seed(1));
         const double host_sec =

@@ -179,10 +179,6 @@ public:
     bool can_accept(std::uint64_t logical) const;
     std::uint64_t window_span() const;
 
-    /// Head register (meaningful while non-empty): the sharded ffs queue's
-    /// head-merge comparator reads it.
-    std::uint64_t head_logical() const { return head_logical_; }
-
     const SorterStats& stats() const { return stats_; }
 
     /// Same counter names as TagSorter::register_metrics so dashboards and

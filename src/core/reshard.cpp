@@ -8,26 +8,30 @@
 
 namespace wfqs::core {
 
-ReshardController::ReshardController(ShardedSorter& sorter,
-                                     const ReshardConfig& config)
+template <class Bank>
+ReshardController<Bank>::ReshardController(ShardedSorter<Bank>& sorter,
+                                           const ReshardConfig& config)
     : sorter_(sorter), config_(config) {
     WFQS_REQUIRE(sorter_.controller_ == nullptr,
                  "a ShardedSorter takes one ReshardController at a time");
     sorter_.controller_ = this;
 }
 
-ReshardController::~ReshardController() {
+template <class Bank>
+ReshardController<Bank>::~ReshardController() {
     if (sorter_.controller_ == this) sorter_.controller_ = nullptr;
 }
 
-void ReshardController::note_event(int code, unsigned bank) const {
-    const double t = static_cast<double>(sorter_.clock_.now());
+template <class Bank>
+void ReshardController<Bank>::note_event(int code, unsigned bank) const {
+    const double t = static_cast<double>(sorter_.now());
     obs::flight_record(obs::FlightEventKind::kReshard, t, code,
                        static_cast<std::int64_t>(bank));
     WFQS_TRACE_INSTANT("reshard", "sharded", t);
 }
 
-std::optional<unsigned> ReshardController::add_bank() {
+template <class Bank>
+std::optional<unsigned> ReshardController<Bank>::add_bank() {
     if (!sorter_.reshard_supported()) return std::nullopt;
     const unsigned idx = sorter_.grow_bank();
     ++stats_.banks_added;
@@ -35,7 +39,8 @@ std::optional<unsigned> ReshardController::add_bank() {
     return idx;
 }
 
-bool ReshardController::fence_bank(unsigned i) {
+template <class Bank>
+bool ReshardController<Bank>::fence_bank(unsigned i) {
     if (!sorter_.fence_bank(i)) return false;
     note_event(1, i);
     // An already-empty bank has nothing to drain: tombstone it now.
@@ -46,31 +51,35 @@ bool ReshardController::fence_bank(unsigned i) {
     return true;
 }
 
-bool ReshardController::remove_bank(unsigned i) {
+template <class Bank>
+bool ReshardController<Bank>::remove_bank(unsigned i) {
     if (!fence_bank(i)) return false;
     ++stats_.banks_removed;
     return true;
 }
 
-int ReshardController::pick_source() const {
+template <class Bank>
+int ReshardController<Bank>::pick_source() const {
     // Drains first: a fenced bank holds entries the routing table no
     // longer owns, so it empties before any elective rebalancing.
     for (unsigned i = 0; i < sorter_.num_banks(); ++i)
-        if (sorter_.bank_state(i) == ShardedSorter::BankState::kDraining &&
+        if (sorter_.bank_state(i) == BankState::kDraining &&
             !sorter_.bank(i).empty())
             return static_cast<int>(i);
     if (rebalance_from_ >= 0 && rebalance_budget_ > 0) {
         const unsigned b = static_cast<unsigned>(rebalance_from_);
-        if (sorter_.bank_state(b) == ShardedSorter::BankState::kActive &&
+        if (sorter_.bank_state(b) == BankState::kActive &&
             !sorter_.bank(b).empty())
             return rebalance_from_;
     }
     return -1;
 }
 
-bool ReshardController::migrating() const { return pick_source() >= 0; }
+template <class Bank>
+bool ReshardController<Bank>::migrating() const { return pick_source() >= 0; }
 
-std::size_t ReshardController::pump(std::size_t max_moves) {
+template <class Bank>
+std::size_t ReshardController<Bank>::pump(std::size_t max_moves) {
     if (!sorter_.reshard_supported()) return 0;
     std::size_t done = 0;
     while (done < max_moves) {
@@ -95,7 +104,8 @@ std::size_t ReshardController::pump(std::size_t max_moves) {
     return done;
 }
 
-void ReshardController::maybe_rebalance() {
+template <class Bank>
+void ReshardController<Bank>::maybe_rebalance() {
     if (!sorter_.reshard_supported() || sorter_.active_banks() < 2) return;
     if (rebalance_from_ >= 0) return;  // one bleed at a time
 
@@ -110,7 +120,7 @@ void ReshardController::maybe_rebalance() {
         const std::uint64_t wait_now = sorter_.bank_wait_cycles(i);
         const std::uint64_t wait_delta = wait_now - last_wait_[i];
         last_wait_[i] = wait_now;
-        if (sorter_.bank_state(i) != ShardedSorter::BankState::kActive) continue;
+        if (sorter_.bank_state(i) != BankState::kActive) continue;
         const std::size_t occ = sorter_.bank(i).size();
         total_occ += occ;
         if (occ > max_occ) {
@@ -149,14 +159,15 @@ void ReshardController::maybe_rebalance() {
     note_event(3, static_cast<unsigned>(src));
 }
 
-void ReshardController::on_op() {
+template <class Bank>
+void ReshardController<Bank>::on_op() {
     ++ops_seen_;
     // Drop a bleed whose source went away (fenced underneath us, drained
     // empty, or the budget ran dry in a pump round).
     if (rebalance_from_ >= 0) {
         const unsigned b = static_cast<unsigned>(rebalance_from_);
         if (rebalance_budget_ == 0 ||
-            sorter_.bank_state(b) != ShardedSorter::BankState::kActive ||
+            sorter_.bank_state(b) != BankState::kActive ||
             sorter_.bank(b).empty())
             rebalance_from_ = -1;
     }
@@ -166,8 +177,9 @@ void ReshardController::on_op() {
         maybe_rebalance();
 }
 
-void ReshardController::register_metrics(obs::MetricsRegistry& registry,
-                                         const std::string& prefix) const {
+template <class Bank>
+void ReshardController<Bank>::register_metrics(obs::MetricsRegistry& registry,
+                                               const std::string& prefix) const {
     const auto cnt = [&](const char* name, const std::uint64_t ReshardStats::*field) {
         registry.register_counter_fn(prefix + "." + name,
                                      [this, field] { return stats_.*field; });
@@ -181,5 +193,8 @@ void ReshardController::register_metrics(obs::MetricsRegistry& registry,
     registry.register_gauge_fn(prefix + ".migrating",
                                [this] { return migrating() ? 1.0 : 0.0; });
 }
+
+template class ReshardController<TagSorter>;
+template class ReshardController<FfsSorter>;
 
 }  // namespace wfqs::core

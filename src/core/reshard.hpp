@@ -1,5 +1,5 @@
 // ReshardController: online bank add/remove for the flow-hashed sharded
-// sorter — the "Production live-ops" item of the roadmap.
+// sorter, over either bank type.
 //
 // The sorter itself owns the mechanics (routing table, bank lifecycle,
 // one-entry migration steps); this controller owns the *policy*:
@@ -18,6 +18,8 @@
 //     the excess is gone. Under flow hashing placement is advisory —
 //     cross-bank ties already break by bank index — so moving entries
 //     never changes which tag pops next, only which bank serves it.
+//     The secondary wait-cycle signal reads the arbiter, so it only
+//     fires on TagSorter banks.
 //
 //   * degraded mode — ShardedSorter::recover() fences a bank whose scrub
 //     escalated to a rebuild and drains what it can synchronously; when
@@ -65,9 +67,11 @@ struct ReshardStats {
     std::uint64_t banks_detached = 0;      ///< drains completed to tombstone
 };
 
+/// Instantiated for both ShardedSorter bank types (reshard.cpp).
+template <class Bank>
 class ReshardController {
 public:
-    ReshardController(ShardedSorter& sorter, const ReshardConfig& config = {});
+    ReshardController(ShardedSorter<Bank>& sorter, const ReshardConfig& config = {});
     ~ReshardController();
 
     ReshardController(const ReshardController&) = delete;
@@ -113,7 +117,7 @@ private:
     void maybe_rebalance();
     void note_event(int code, unsigned bank) const;
 
-    ShardedSorter& sorter_;
+    ShardedSorter<Bank>& sorter_;
     ReshardConfig config_;
     ReshardStats stats_;
     std::uint64_t ops_seen_ = 0;
@@ -121,5 +125,8 @@ private:
     std::size_t rebalance_budget_ = 0; ///< moves left in the current bleed
     std::vector<std::uint64_t> last_wait_;  ///< wait snapshot per bank
 };
+
+extern template class ReshardController<TagSorter>;
+extern template class ReshardController<FfsSorter>;
 
 }  // namespace wfqs::core

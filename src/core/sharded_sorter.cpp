@@ -8,6 +8,7 @@
 #include "core/reshard.hpp"
 #include "fault/errors.hpp"
 #include "fault/scrubber.hpp"
+#include "hw/simulation.hpp"
 
 namespace wfqs::core {
 
@@ -33,8 +34,9 @@ struct PrefixGuard {
 
 }  // namespace
 
-ShardedSorter::ShardedSorter(const Config& config, hw::Simulation& sim)
-    : config_(config), sim_(sim), clock_(sim.clock()) {
+template <class Bank>
+ShardedSorter<Bank>::ShardedSorter(const ShardedConfig& config, hw::Simulation* sim)
+    : config_(config), sim_(sim) {
     WFQS_REQUIRE(config.num_banks >= 1 &&
                      std::has_single_bit(std::uint64_t{config.num_banks}),
                  "bank count must be a power of two");
@@ -51,20 +53,11 @@ ShardedSorter::ShardedSorter(const Config& config, hw::Simulation& sim)
     mask_ = config.num_banks - 1;
     ii_ = std::max(config.bank.geometry.levels + 1u, 4u);
 
-    // Each bank instantiates its own tree/translation/tag-store memories in
-    // the shared inventory, scoped "bank<i>." so the Table II model and the
-    // fault tooling can address them individually. A single bank keeps the
-    // unscoped names — the unsharded inventory, bit for bit.
+    // A single bank keeps the unscoped SRAM names — the unsharded
+    // inventory, bit for bit.
     banks_.reserve(config.num_banks);
-    {
-        PrefixGuard guard{sim, sim.sram_name_prefix()};
-        for (unsigned i = 0; i < config.num_banks; ++i) {
-            if (config.num_banks > 1)
-                sim.set_sram_name_prefix(guard.outer + "bank" + std::to_string(i) +
-                                         ".");
-            banks_.push_back(std::make_unique<TagSorter>(config.bank, sim));
-        }
-    }
+    for (unsigned i = 0; i < config.num_banks; ++i)
+        banks_.push_back(make_bank(i, config.num_banks > 1));
 
     bank_state_.assign(config.num_banks, BankState::kActive);
     rebuild_routing();
@@ -74,14 +67,33 @@ ShardedSorter::ShardedSorter(const Config& config, hw::Simulation& sim)
     bank_wait_cycles_.assign(config.num_banks, 0);
 }
 
-void ShardedSorter::rebuild_routing() {
+template <class Bank>
+std::unique_ptr<Bank> ShardedSorter<Bank>::make_bank(unsigned index, bool scoped) {
+    if constexpr (kModeled) {
+        // Each bank instantiates its own tree/translation/tag-store
+        // memories in the shared inventory, scoped "bank<i>." so the
+        // Table II model and the fault tooling can address them
+        // individually.
+        PrefixGuard guard{*sim_, sim_->sram_name_prefix()};
+        if (scoped)
+            sim_->set_sram_name_prefix(guard.outer + "bank" + std::to_string(index) +
+                                       ".");
+        return std::make_unique<TagSorter>(config_.bank, *sim_);
+    } else {
+        return std::make_unique<Bank>(config_.bank);
+    }
+}
+
+template <class Bank>
+void ShardedSorter<Bank>::rebuild_routing() {
     routing_.clear();
     for (unsigned i = 0; i < banks_.size(); ++i)
         if (bank_state_[i] == BankState::kActive) routing_.push_back(i);
     WFQS_ASSERT(!routing_.empty());
 }
 
-unsigned ShardedSorter::select_bank(std::uint64_t tag, std::uint64_t flow_key) const {
+template <class Bank>
+unsigned ShardedSorter<Bank>::select_bank(std::uint64_t tag, std::uint64_t flow_key) const {
     // Before any reshard routing_ is {0..N-1} with N a power of two, so
     // the modulo is exactly the historical `mix64(flow_key) & mask_` —
     // bit-identical placements for a never-resharded sorter.
@@ -90,7 +102,8 @@ unsigned ShardedSorter::select_bank(std::uint64_t tag, std::uint64_t flow_key) c
     return static_cast<unsigned>(tag & mask_);
 }
 
-unsigned ShardedSorter::bank_for(std::uint64_t tag, std::uint64_t flow_key) const {
+template <class Bank>
+unsigned ShardedSorter<Bank>::bank_for(std::uint64_t tag, std::uint64_t flow_key) const {
     const unsigned primary = select_bank(tag, flow_key);
     if (config_.select != BankSelect::kFlowHash || !banks_[primary]->full())
         return primary;
@@ -109,16 +122,19 @@ unsigned ShardedSorter::bank_for(std::uint64_t tag, std::uint64_t flow_key) cons
     return primary;
 }
 
-std::uint64_t ShardedSorter::to_local(std::uint64_t tag) const {
+template <class Bank>
+std::uint64_t ShardedSorter<Bank>::to_local(std::uint64_t tag) const {
     return config_.select == BankSelect::kTagInterleave ? tag >> shift_ : tag;
 }
 
-std::uint64_t ShardedSorter::to_global(std::uint64_t local, unsigned bank) const {
+template <class Bank>
+std::uint64_t ShardedSorter<Bank>::to_global(std::uint64_t local, unsigned bank) const {
     return config_.select == BankSelect::kTagInterleave ? (local << shift_) | bank
                                                         : local;
 }
 
-void ShardedSorter::refresh_head(unsigned i) {
+template <class Bank>
+void ShardedSorter<Bank>::refresh_head(unsigned i) {
     const auto head = banks_[i]->peek_min();
     head_cache_[i] = head ? std::optional<std::uint64_t>(to_global(head->tag, i))
                           : std::nullopt;
@@ -139,38 +155,62 @@ void ShardedSorter::refresh_head(unsigned i) {
     }
 }
 
-std::uint64_t ShardedSorter::engage_bank(unsigned bank, std::uint64_t arrival) {
+template <class Bank>
+void ShardedSorter<Bank>::lower_head(unsigned i, std::uint64_t tag) {
+    // An insert can only lower a bank's head (a tag equal to the head
+    // queues behind it), so the new head is min(cached head, tag) and the
+    // comparator only has to weigh it against the current winner, ties
+    // still going to the lower bank index.
+    ++stats_.head_merge_updates;
+    if (head_cache_[i] && *head_cache_[i] <= tag) return;
+    head_cache_[i] = tag;
+    if (min_bank_ >= 0) {
+        const std::uint64_t best = *head_cache_[static_cast<unsigned>(min_bank_)];
+        if (tag > best || (tag == best && static_cast<int>(i) > min_bank_)) return;
+    }
+    min_bank_ = static_cast<int>(i);
+}
+
+template <class Bank>
+std::uint64_t ShardedSorter<Bank>::engage_bank(unsigned bank, std::uint64_t arrival) {
+    ++bank_ops_[bank];
+    if constexpr (!kModeled) return 0;
     const std::uint64_t issue = std::max(arrival, bank_free_at_[bank]);
     stats_.bank_wait_cycles += issue - arrival;
     bank_wait_cycles_[bank] += issue - arrival;
     bank_free_at_[bank] = issue + ii_;
-    ++bank_ops_[bank];
     return issue;
 }
 
-void ShardedSorter::finish_op(std::uint64_t issue_cycle, std::uint64_t measured_cycles) {
+template <class Bank>
+void ShardedSorter<Bank>::finish_op(std::uint64_t issue_cycle,
+                                    std::uint64_t measured_cycles) {
+    if constexpr (!kModeled) return;
     stats_.sequential_cycles += measured_cycles;
     makespan_ = std::max(makespan_,
                          issue_cycle + std::max<std::uint64_t>(measured_cycles, ii_));
     ++arrivals_;
 }
 
-void ShardedSorter::notify_op() {
+template <class Bank>
+void ShardedSorter<Bank>::notify_op() {
     if (controller_ != nullptr) controller_->on_op();
 }
 
-void ShardedSorter::insert(std::uint64_t tag, std::uint32_t payload,
-                           std::uint64_t flow_key) {
+template <class Bank>
+void ShardedSorter<Bank>::insert(std::uint64_t tag, std::uint32_t payload,
+                                 std::uint64_t flow_key) {
     const unsigned b = bank_for(tag, flow_key);
-    const std::uint64_t t0 = clock_.now();
+    const std::uint64_t t0 = now();
     banks_[b]->insert(to_local(tag), payload);
-    finish_op(engage_bank(b, arrivals_), clock_.now() - t0);
+    finish_op(engage_bank(b, arrivals_), now() - t0);
     ++stats_.inserts;
-    refresh_head(b);
+    lower_head(b, tag);
     notify_op();
 }
 
-std::optional<SortedTag> ShardedSorter::peek_min() const {
+template <class Bank>
+std::optional<SortedTag> ShardedSorter<Bank>::peek_min() const {
     if (min_bank_ < 0) return std::nullopt;
     const auto head = banks_[static_cast<unsigned>(min_bank_)]->peek_min();
     WFQS_ASSERT(head.has_value());
@@ -178,37 +218,41 @@ std::optional<SortedTag> ShardedSorter::peek_min() const {
                      head->payload};
 }
 
-std::optional<SortedTag> ShardedSorter::pop_min() {
+template <class Bank>
+std::optional<SortedTag> ShardedSorter<Bank>::pop_min() {
     if (min_bank_ < 0) return std::nullopt;
     const unsigned b = static_cast<unsigned>(min_bank_);
-    const std::uint64_t t0 = clock_.now();
+    const std::uint64_t t0 = now();
     const auto popped = banks_[b]->pop_min();
     WFQS_ASSERT(popped.has_value());
-    finish_op(engage_bank(b, arrivals_), clock_.now() - t0);
+    finish_op(engage_bank(b, arrivals_), now() - t0);
     ++stats_.pops;
     refresh_head(b);
     notify_op();
     return SortedTag{to_global(popped->tag, b), popped->payload};
 }
 
-void ShardedSorter::insert_batch(const SortedTag* entries, std::size_t n,
-                                 const std::uint64_t* flow_keys) {
+template <class Bank>
+void ShardedSorter<Bank>::insert_batch(const SortedTag* entries, std::size_t n,
+                                       const std::uint64_t* flow_keys) {
     for (std::size_t i = 0; i < n; ++i)
         insert(entries[i].tag, entries[i].payload, flow_keys ? flow_keys[i] : 0);
 }
 
-std::size_t ShardedSorter::pop_batch(SortedTag* out, std::size_t max_n) {
+template <class Bank>
+std::size_t ShardedSorter<Bank>::pop_batch(SortedTag* out, std::size_t max_n) {
     std::size_t n = 0;
     while (n < max_n && min_bank_ >= 0) out[n++] = *pop_min();
     return n;
 }
 
-SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload,
-                                        std::uint64_t flow_key) {
+template <class Bank>
+SortedTag ShardedSorter<Bank>::insert_and_pop(std::uint64_t tag, std::uint32_t payload,
+                                              std::uint64_t flow_key) {
     WFQS_REQUIRE(min_bank_ >= 0, "insert_and_pop needs a non-empty sorter");
     const unsigned a = bank_for(tag, flow_key);
     const unsigned b = static_cast<unsigned>(min_bank_);
-    const std::uint64_t t0 = clock_.now();
+    const std::uint64_t t0 = now();
     SortedTag result;
     if (a == b) {
         // The incoming tag targets the departing minimum's bank: the
@@ -216,7 +260,7 @@ SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload
         const SortedTag local = banks_[a]->insert_and_pop(to_local(tag), payload);
         result = SortedTag{to_global(local.tag, a), local.payload};
         ++stats_.same_bank_combined;
-        finish_op(engage_bank(a, arrivals_), clock_.now() - t0);
+        finish_op(engage_bank(a, arrivals_), now() - t0);
         refresh_head(a);
     } else {
         // Split engagement. The insert runs first — it validates before
@@ -231,8 +275,8 @@ SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload
         const std::uint64_t arrival = arrivals_;
         const std::uint64_t issue_a = engage_bank(a, arrival);
         const std::uint64_t issue_b = engage_bank(b, arrival);
-        finish_op(std::max(issue_a, issue_b), clock_.now() - t0);
-        refresh_head(a);
+        finish_op(std::max(issue_a, issue_b), now() - t0);
+        lower_head(a, tag);
         refresh_head(b);
     }
     ++stats_.combined_ops;
@@ -240,13 +284,15 @@ SortedTag ShardedSorter::insert_and_pop(std::uint64_t tag, std::uint32_t payload
     return result;
 }
 
-std::size_t ShardedSorter::size() const {
+template <class Bank>
+std::size_t ShardedSorter<Bank>::size() const {
     std::size_t n = 0;
     for (const auto& b : banks_) n += b->size();
     return n;
 }
 
-bool ShardedSorter::full() const {
+template <class Bank>
+bool ShardedSorter<Bank>::full() const {
     if (config_.select == BankSelect::kFlowHash) {
         // Exact: inserts spill around a capacity-full bank, so rejection
         // on capacity needs every routable bank full.
@@ -261,44 +307,43 @@ bool ShardedSorter::full() const {
     return false;
 }
 
-std::size_t ShardedSorter::capacity() const {
+template <class Bank>
+std::size_t ShardedSorter<Bank>::capacity() const {
     std::size_t n = 0;
     for (const unsigned i : routing_) n += banks_[i]->capacity();
     return n;
 }
 
-std::uint64_t ShardedSorter::window_span() const {
+template <class Bank>
+std::uint64_t ShardedSorter<Bank>::window_span() const {
     const std::uint64_t bank_span = banks_[0]->window_span();
     return config_.select == BankSelect::kTagInterleave ? bank_span << shift_
                                                         : bank_span;
 }
 
-std::uint64_t ShardedSorter::modeled_cycles() const { return makespan_; }
-
-double ShardedSorter::modeled_cycles_per_op() const {
+template <class Bank>
+double ShardedSorter<Bank>::modeled_cycles_per_op() const {
     return arrivals_ == 0 ? 0.0
                           : static_cast<double>(makespan_) /
                                 static_cast<double>(arrivals_);
 }
 
-double ShardedSorter::overlap_factor() const {
+template <class Bank>
+double ShardedSorter<Bank>::overlap_factor() const {
     return makespan_ == 0 ? 1.0
                           : static_cast<double>(stats_.sequential_cycles) /
                                 static_cast<double>(makespan_);
 }
 
-unsigned ShardedSorter::grow_bank() {
+template <class Bank>
+unsigned ShardedSorter<Bank>::grow_bank() {
     WFQS_REQUIRE(reshard_supported(),
                  "online bank add needs kFlowHash: interleaved placement is "
                  "structural (tag mod N), entries cannot move between banks");
     const unsigned idx = static_cast<unsigned>(banks_.size());
-    {
-        PrefixGuard guard{sim_, sim_.sram_name_prefix()};
-        // Always scoped: even a sorter born with one (unscoped) bank names
-        // online additions "bank<i>." — existing SRAM names never change.
-        sim_.set_sram_name_prefix(guard.outer + "bank" + std::to_string(idx) + ".");
-        banks_.push_back(std::make_unique<TagSorter>(config_.bank, sim_));
-    }
+    // Always scoped: even a sorter born with one (unscoped) bank names
+    // online additions "bank<i>." — existing SRAM names never change.
+    banks_.push_back(make_bank(idx, /*scoped=*/true));
     bank_state_.push_back(BankState::kActive);
     head_cache_.emplace_back(std::nullopt);
     bank_free_at_.push_back(0);
@@ -309,7 +354,8 @@ unsigned ShardedSorter::grow_bank() {
     return idx;
 }
 
-bool ShardedSorter::fence_bank(unsigned i) {
+template <class Bank>
+bool ShardedSorter<Bank>::fence_bank(unsigned i) {
     if (!reshard_supported() || i >= banks_.size()) return false;
     if (bank_state_[i] != BankState::kActive) return false;
     if (routing_.size() <= 1) return false;  // the routing table may not empty
@@ -318,16 +364,18 @@ bool ShardedSorter::fence_bank(unsigned i) {
     return true;
 }
 
-bool ShardedSorter::maybe_detach(unsigned i) {
+template <class Bank>
+bool ShardedSorter<Bank>::maybe_detach(unsigned i) {
     if (i >= banks_.size()) return false;
     if (bank_state_[i] != BankState::kDraining || !banks_[i]->empty()) return false;
-    // Tombstone: the TagSorter (and its SRAM inventory) stays allocated so
-    // bank indices, metric names, and the Table II area model stay stable.
+    // Tombstone: the bank (and its SRAM inventory) stays allocated so bank
+    // indices, metric names, and the Table II area model stay stable.
     bank_state_[i] = BankState::kDetached;
     return true;
 }
 
-std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
+template <class Bank>
+std::optional<MoveRecord> ShardedSorter<Bank>::migrate_from(unsigned from) {
     WFQS_ASSERT(reshard_supported());  // interleave entries cannot move banks
     if (from >= banks_.size() || banks_[from]->empty()) return std::nullopt;
     const auto head = banks_[from]->peek_min();
@@ -343,7 +391,7 @@ std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
         ++stats_.migration_stalls;
         return std::nullopt;
     }
-    const std::uint64_t t0 = clock_.now();
+    const std::uint64_t t0 = now();
     const auto popped = banks_[from]->pop_min();
     WFQS_ASSERT(popped.has_value() && popped->tag == head->tag);
     try {
@@ -356,19 +404,21 @@ std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
         // propagate, leaving the caller's scrub machinery to clean up.
         banks_[from]->insert(popped->tag, popped->payload);
         refresh_head(from);
-        stats_.migration_cycles += clock_.now() - t0;
+        stats_.migration_cycles += now() - t0;
         ++stats_.migration_stalls;
         return std::nullopt;
     }
-    stats_.migration_cycles += clock_.now() - t0;
+    stats_.migration_cycles += now() - t0;
     ++stats_.migration_moves;
     // Stolen engagement: the move occupies both banks' pipelines for one
     // initiation interval in the current arrival slot — later datapath ops
     // queue behind it — but it is not an offered op, so arrivals_,
     // bank_ops_, and the wait tallies stay untouched and the makespan only
     // grows through the delayed real ops.
-    bank_free_at_[from] = std::max(arrivals_, bank_free_at_[from]) + ii_;
-    bank_free_at_[dest] = std::max(arrivals_, bank_free_at_[dest]) + ii_;
+    if constexpr (kModeled) {
+        bank_free_at_[from] = std::max(arrivals_, bank_free_at_[from]) + ii_;
+        bank_free_at_[dest] = std::max(arrivals_, bank_free_at_[dest]) + ii_;
+    }
     refresh_head(from);
     refresh_head(dest);
     const MoveRecord record{from, dest, popped->tag, popped->payload};
@@ -376,28 +426,33 @@ std::optional<MoveRecord> ShardedSorter::migrate_from(unsigned from) {
     return record;
 }
 
-bool ShardedSorter::recover() {
-    bool fenced = false;
+template <class Bank>
+std::vector<unsigned> ShardedSorter<Bank>::scrub_banks() {
+    std::vector<unsigned> rebuilt;
     for (unsigned i = 0; i < banks_.size(); ++i) {
         if (bank_state_[i] == BankState::kDetached) continue;
         fault::Scrubber scrubber(*banks_[i]);
-        const fault::ScrubOutcome outcome = scrubber.scrub();
-        // Degraded mode: a rebuild means uncorrectable damage — fence the
-        // bank out of the routing table (flow-hash only; interleave has no
-        // way to rehome its entries) and drain it below.
-        if (outcome.action == fault::ScrubAction::kRebuilt && fence_bank(i))
-            fenced = true;
+        if (scrubber.scrub().action == fault::ScrubAction::kRebuilt)
+            rebuilt.push_back(i);
     }
     // A lossy rebuild (ScrubOutcome::entries_lost) can change — or empty —
     // any bank's head, so the cached head registers and comparator winner
     // must be re-derived before the next retrieve.
     for (unsigned i = 0; i < num_banks(); ++i) refresh_head(i);
+    return rebuilt;
+}
+
+template <class Bank>
+bool ShardedSorter<Bank>::recover() {
+    // Degraded mode: a rebuild means uncorrectable damage — fence the bank
+    // out of the routing table (flow-hash only; interleave has no way to
+    // rehome its entries) and drain it below.
+    for (const unsigned i : scrub_banks()) fence_bank(i);
     // Drain every draining bank — freshly fenced or fenced mid-migration
     // before the fault hit. The scrub already left each bank internally
     // consistent, so an in-flight incremental drain simply continues; a
     // stall (no destination can accept the head) leaves the bank fenced
     // for an attached controller to keep pumping.
-    (void)fenced;
     for (unsigned i = 0; i < banks_.size(); ++i) {
         while (bank_state_[i] == BankState::kDraining && !banks_[i]->empty()) {
             try {
@@ -408,12 +463,7 @@ bool ShardedSorter::recover() {
                 // damage and leave this bank fenced — an attached
                 // controller resumes the drain on later ops; recover()
                 // itself never throws.
-                for (unsigned j = 0; j < banks_.size(); ++j) {
-                    if (bank_state_[j] == BankState::kDetached) continue;
-                    fault::Scrubber rescuer(*banks_[j]);
-                    rescuer.scrub();
-                }
-                for (unsigned j = 0; j < num_banks(); ++j) refresh_head(j);
+                scrub_banks();
                 break;
             }
         }
@@ -422,8 +472,9 @@ bool ShardedSorter::recover() {
     return true;
 }
 
-void ShardedSorter::register_metrics(obs::MetricsRegistry& registry,
-                                     const std::string& prefix) const {
+template <class Bank>
+void ShardedSorter<Bank>::register_metrics(obs::MetricsRegistry& registry,
+                                           const std::string& prefix) const {
     const auto cnt = [&](const char* name, const std::uint64_t ShardedStats::*field) {
         registry.register_counter_fn(prefix + "." + name,
                                      [this, field] { return stats_.*field; });
@@ -467,5 +518,8 @@ void ShardedSorter::register_metrics(obs::MetricsRegistry& registry,
         });
     }
 }
+
+template class ShardedSorter<TagSorter>;
+template class ShardedSorter<FfsSorter>;
 
 }  // namespace wfqs::core

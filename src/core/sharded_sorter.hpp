@@ -1,9 +1,12 @@
-// Sharded multi-bank sorter: N independent TagSorter banks behind one
+// Sharded multi-bank sorter: N independent sorter banks behind one
 // sort/retrieve interface — the paper's scalability move made explicit.
 //
 // The paper's circuit serves one output port at 1 tag / 4 cycles; §IV
 // argues aggregate throughput grows by *replicating* the circuit, not by
-// deepening it. This module models that replication cycle-accurately:
+// deepening it. This module models that replication, generic over the
+// bank type: the cycle model (TagSorter) or the host-native FFS sorter
+// (FfsSorter, the Eiffel-style bitmap queue). Both instantiations share
+// bank selection, the head merge, resharding, and recovery:
 //
 //   * bank selection — kTagInterleave sends tag t to bank (t mod N) and
 //     stores the compressed local tag (t div N), so consecutive virtual
@@ -15,16 +18,18 @@
 //     to one bank (full tag stored); cross-bank ties break by bank
 //     index, trading exact duplicate order for flow locality.
 //
-//   * bank arbiter — each bank is the paper's pipelined circuit with a
-//     fixed initiation interval (II = max(levels+1, 4) cycles). The
-//     arbiter models saturated offered load: one operation arrives per
-//     cycle at the input port, queues at its bank, and issues the moment
-//     the bank's pipeline is free. Different banks overlap fully, so the
-//     modeled sustained rate approaches 1 op/cycle once N >= II. The
-//     makespan of that overlapped schedule is `modeled_cycles()`; the
-//     behavioural execution underneath still runs each bank op on the
-//     shared hw::Simulation clock (so SRAM port budgets stay checked and
-//     `sequential_cycles` records what a single engine would have spent).
+//   * bank arbiter (TagSorter banks only) — each bank is the paper's
+//     pipelined circuit with a fixed initiation interval (II =
+//     max(levels+1, 4) cycles). The arbiter models saturated offered
+//     load: one operation arrives per cycle at the input port, queues at
+//     its bank, and issues the moment the bank's pipeline is free.
+//     Different banks overlap fully, so the modeled sustained rate
+//     approaches 1 op/cycle once N >= II. The makespan of that overlapped
+//     schedule is `modeled_cycles()`; the behavioural execution underneath
+//     still runs each bank op on the shared hw::Simulation clock (so SRAM
+//     port budgets stay checked and `sequential_cycles` records what a
+//     single engine would have spent). FfsSorter banks have no clock, so
+//     the arbiter and every cycle figure stay at zero for them.
 //
 //   * head merge — every bank's smallest tag is a head register; a
 //     comparator tree across the N heads (here: a cached linear sweep,
@@ -34,21 +39,45 @@
 //     bank-local concern.
 //
 // With num_banks == 1 the module is a pass-through: the same single
-// TagSorter, the same SRAM inventory (same names), the same clock
-// advance per op — bit- and cycle-identical to the unsharded path.
+// bank, the same SRAM inventory (same names), the same clock advance per
+// op — bit- and cycle-identical to the unsharded path.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
+#include "core/ffs_sorter.hpp"
 #include "core/tag_sorter.hpp"
 
 namespace wfqs::core {
 
+template <class Bank>
 class ReshardController;
+
+enum class BankSelect {
+    kTagInterleave,  ///< bank = tag mod N, store tag div N (default)
+    kFlowHash,       ///< bank = hash(flow_key) mod N, store full tag
+};
+
+/// Lifecycle of a bank under online resharding. Interleaved banks are
+/// always kActive: the compressed local-tag encoding couples an entry's
+/// value to its bank index, so cross-bank migration (and with it
+/// fencing/detaching) only exists under kFlowHash.
+enum class BankState : std::uint8_t {
+    kActive,    ///< routable: bank_for may place new tags here
+    kDraining,  ///< fenced: still serves the head merge, receives no new tags
+    kDetached,  ///< empty tombstone: keeps its index (and SRAM inventory)
+};
+
+struct ShardedConfig {
+    TagSorter::Config bank = {};  ///< per-bank sorter (capacity is per bank)
+    unsigned num_banks = 1;       ///< power of two (at construction)
+    BankSelect select = BankSelect::kTagInterleave;
+};
 
 struct ShardedStats {
     std::uint64_t inserts = 0;
@@ -74,30 +103,20 @@ struct MoveRecord {
     std::uint32_t payload = 0;
 };
 
+/// Instantiated for TagSorter and FfsSorter banks (sharded_sorter.cpp).
+template <class Bank>
 class ShardedSorter {
 public:
-    enum class BankSelect {
-        kTagInterleave,  ///< bank = tag mod N, store tag div N (default)
-        kFlowHash,       ///< bank = hash(flow_key) mod N, store full tag
-    };
+    /// TagSorter banks run on a modeled clock; FfsSorter banks do not.
+    static constexpr bool kModeled = std::is_same_v<Bank, TagSorter>;
 
-    /// Lifecycle of a bank under online resharding. Interleaved banks are
-    /// always kActive: the compressed local-tag encoding couples an
-    /// entry's value to its bank index, so cross-bank migration (and with
-    /// it fencing/detaching) only exists under kFlowHash.
-    enum class BankState : std::uint8_t {
-        kActive,    ///< routable: bank_for may place new tags here
-        kDraining,  ///< fenced: still serves the head merge, receives no new tags
-        kDetached,  ///< empty tombstone: keeps its index and SRAM inventory
-    };
-
-    struct Config {
-        TagSorter::Config bank = {};  ///< per-bank circuit (capacity is per bank)
-        unsigned num_banks = 1;       ///< power of two (at construction)
-        BankSelect select = BankSelect::kTagInterleave;
-    };
-
-    ShardedSorter(const Config& config, hw::Simulation& sim);
+    /// Model banks instantiate their memories in `sim`'s inventory.
+    ShardedSorter(const ShardedConfig& config, hw::Simulation& sim)
+        requires(kModeled)
+        : ShardedSorter(config, &sim) {}
+    explicit ShardedSorter(const ShardedConfig& config)
+        requires(!kModeled)
+        : ShardedSorter(config, nullptr) {}
 
     // -- datapath ----------------------------------------------------------
 
@@ -121,9 +140,9 @@ public:
                              std::uint64_t flow_key = 0);
 
     /// Bulk insert: semantically `n` scalar inserts in order (identical
-    /// bank engagements, clock advance, and stats), dispatched with one
-    /// call. `flow_keys` may be null when
-    /// the bank select ignores flows (kTagInterleave).
+    /// bank engagements, clock advance, and stats; a throw leaves entries
+    /// [0, i) applied), dispatched with one call. `flow_keys` may be null
+    /// when the bank select ignores flows (kTagInterleave).
     void insert_batch(const SortedTag* entries, std::size_t n,
                       const std::uint64_t* flow_keys = nullptr);
 
@@ -134,7 +153,7 @@ public:
     // -- observers ---------------------------------------------------------
 
     std::size_t size() const;
-    bool empty() const { return size() == 0; }
+    bool empty() const { return min_bank_ < 0; }  ///< every bank head is empty
     /// Exact under kFlowHash: inserts spill around a capacity-full bank,
     /// so this is true only when *every* routable bank is full (a further
     /// insert must throw on capacity). Under kTagInterleave placement is
@@ -166,8 +185,8 @@ public:
     /// so conformance oracles can predict placements without replicating
     /// the selector. Under kTagInterleave it is the pure tag mod N.
     unsigned bank_for(std::uint64_t tag, std::uint64_t flow_key = 0) const;
-    TagSorter& bank(unsigned i) { return *banks_[i]; }
-    const TagSorter& bank(unsigned i) const { return *banks_[i]; }
+    Bank& bank(unsigned i) { return *banks_[i]; }
+    const Bank& bank(unsigned i) const { return *banks_[i]; }
     std::uint64_t bank_ops(unsigned i) const { return bank_ops_[i]; }
     /// Modeled queueing spent waiting on bank `i` alone (the aggregate is
     /// ShardedStats::bank_wait_cycles) — the rebalancer's skew signal.
@@ -187,7 +206,7 @@ public:
 
     /// Makespan of the overlapped schedule: the cycle the last modeled
     /// bank engagement retires. The sustained-throughput numerator.
-    std::uint64_t modeled_cycles() const;
+    std::uint64_t modeled_cycles() const { return makespan_; }
     /// modeled_cycles() / ops — approaches the per-bank initiation
     /// interval at N=1 and 1.0 once N >= II under a saturating stream.
     double modeled_cycles_per_op() const;
@@ -196,15 +215,16 @@ public:
     double overlap_factor() const;
     unsigned pipeline_interval() const { return ii_; }
 
-    /// Scrub every bank back to consistency after a fault. Degraded mode:
-    /// a flow-hash bank whose scrub escalated to a full rebuild
-    /// (uncorrectable damage) is fenced out of the routing table and
-    /// drained into its neighbours via the migration machinery, then
-    /// detached — instead of staying in rotation with suspect memory.
-    /// A drain that stalls (no bank can accept the head) leaves the bank
-    /// fenced; an attached ReshardController keeps pumping it with stolen
-    /// cycles on later ops. Interleaved sorters keep the original
-    /// scrub-everything behaviour. Returns true — scrubbing cannot fail.
+    /// Scrub every bank back to consistency after a fault (fault::Scrubber:
+    /// audit, then repair or rebuild). Degraded mode: a flow-hash bank
+    /// whose scrub escalated to a full rebuild (uncorrectable damage) is
+    /// fenced out of the routing table and drained into its neighbours via
+    /// the migration machinery, then detached — instead of staying in
+    /// rotation with suspect memory. A drain that stalls (no bank can
+    /// accept the head) leaves the bank fenced; an attached
+    /// ReshardController keeps pumping it on later ops. Interleaved
+    /// sorters keep the original scrub-everything behaviour. Returns true
+    /// — scrubbing cannot fail.
     bool recover();
 
     /// Observe every completed migration move (controller pumps and
@@ -217,12 +237,23 @@ public:
     /// Register aggregate counters/gauges as `<prefix>.*` and per-bank
     /// rows as `<prefix>.bank<i>.{ops,wait_cycles,occupancy,state}` for
     /// the banks existing at registration time (banks added online later
-    /// show up in the live dashboard's bank rows, not here).
+    /// show up in the live dashboard's bank rows, not here). The cycle
+    /// rows read zero on FfsSorter banks.
     void register_metrics(obs::MetricsRegistry& registry,
                           const std::string& prefix = "sharded") const;
 
 private:
-    friend class ReshardController;
+    friend class ReshardController<Bank>;
+
+    ShardedSorter(const ShardedConfig& config, hw::Simulation* sim);
+    /// Construct bank `index`; model banks scope their SRAMs "bank<i>."
+    /// when `scoped`.
+    std::unique_ptr<Bank> make_bank(unsigned index, bool scoped);
+    /// The cycle source: the model clock, or 0 for clockless banks.
+    std::uint64_t now() const {
+        if constexpr (kModeled) return sim_->clock().now();
+        return 0;
+    }
 
     unsigned select_bank(std::uint64_t tag, std::uint64_t flow_key) const;
     std::uint64_t to_local(std::uint64_t tag) const;
@@ -230,8 +261,10 @@ private:
     /// Re-read bank `i`'s head register and re-evaluate the comparator
     /// sweep (host-side model of the head-merge tree update).
     void refresh_head(unsigned i);
-    /// One modeled bank engagement in the current arrival slot; returns
-    /// its issue cycle.
+    /// Head-merge update after inserting global `tag` into bank `i`.
+    void lower_head(unsigned i, std::uint64_t tag);
+    /// One bank engagement in the current arrival slot; returns its
+    /// modeled issue cycle (the arbiter runs on model banks only).
     std::uint64_t engage_bank(unsigned bank, std::uint64_t arrival);
     /// Close the current op: advance the arrival counter, record latency.
     void finish_op(std::uint64_t issue_cycle, std::uint64_t measured_cycles);
@@ -258,11 +291,12 @@ private:
     /// Returns nullopt — and counts a migration stall — when the source is
     /// empty or no destination can take the tag right now.
     std::optional<MoveRecord> migrate_from(unsigned from);
+    /// Scrub every attached bank; returns the banks whose scrub rebuilt.
+    std::vector<unsigned> scrub_banks();
 
-    Config config_;
-    std::vector<std::unique_ptr<TagSorter>> banks_;
-    hw::Simulation& sim_;
-    hw::Clock& clock_;
+    ShardedConfig config_;
+    std::vector<std::unique_ptr<Bank>> banks_;
+    hw::Simulation* sim_ = nullptr;  ///< model banks only
     unsigned shift_ = 0;   ///< log2(num_banks) (interleave compression)
     std::uint64_t mask_ = 0;
     unsigned ii_ = 4;      ///< per-bank initiation interval
@@ -270,7 +304,7 @@ private:
     // Resharding state.
     std::vector<BankState> bank_state_;
     std::vector<unsigned> routing_;  ///< sorted active bank indices
-    ReshardController* controller_ = nullptr;
+    ReshardController<Bank>* controller_ = nullptr;
     std::function<void(const MoveRecord&)> move_listener_;
 
     // Head-merge state: cached global head tag per bank + current winner.
@@ -286,5 +320,8 @@ private:
 
     ShardedStats stats_;
 };
+
+extern template class ShardedSorter<TagSorter>;
+extern template class ShardedSorter<FfsSorter>;
 
 }  // namespace wfqs::core

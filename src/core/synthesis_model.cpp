@@ -107,7 +107,7 @@ SynthesisReport synthesize(const TagSorter::Config& config,
     return r;
 }
 
-SynthesisReport synthesize_sharded(const ShardedSorter::Config& config,
+SynthesisReport synthesize_sharded(const ShardedConfig& config,
                                    matcher::MatcherKind kind) {
     SynthesisReport r = synthesize(config.bank, kind);
     const unsigned n = config.num_banks;

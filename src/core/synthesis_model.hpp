@@ -78,7 +78,7 @@ SynthesisReport synthesize(const TagSorter::Config& config,
 /// (the merge tree is registered and off the tag datapath's critical
 /// path). With num_banks == 1 the report equals the single-bank one.
 /// (Named, not overloaded: both Config types brace-initialize alike.)
-SynthesisReport synthesize_sharded(const ShardedSorter::Config& config,
+SynthesisReport synthesize_sharded(const ShardedConfig& config,
                                    matcher::MatcherKind kind);
 
 /// Render the report as a Table II–style text table.

@@ -1,5 +1,8 @@
 #include "fault/scrubber.hpp"
 
+#include <type_traits>
+
+#include "core/ffs_sorter.hpp"
 #include "core/tag_sorter.hpp"
 #include "obs/metrics.hpp"
 
@@ -14,20 +17,24 @@ const char* to_string(ScrubAction action) {
     return "unknown";
 }
 
-ScrubOutcome Scrubber::scrub() {
+template <class Sorter>
+ScrubOutcome Scrubber<Sorter>::scrub() {
     ++stats_.scrubs;
 
-    // A recovery occupies the datapath for at least one cycle. This also
-    // releases the current cycle's SRAM port budgets: the faulted op may
-    // have charged a port before throwing, and a retry in the same cycle
-    // would livelock on the resulting port conflict.
-    sorter_.clock().advance();
+    if constexpr (std::is_same_v<Sorter, core::TagSorter>) {
+        // A recovery occupies the datapath for at least one cycle. This
+        // also releases the current cycle's SRAM port budgets: the faulted
+        // op may have charged a port before throwing, and a retry in the
+        // same cycle would livelock on the resulting port conflict.
+        sorter_.clock().advance();
 
-    // Settle the ECC state first: whatever the audit decides, no datapath
-    // access may keep throwing on a word the scrub has already seen.
-    sorter_.store().memory().relaunder();
-    sorter_.table().memory().relaunder();
-    sorter_.search_tree().relaunder();
+        // Settle the ECC state first: whatever the audit decides, no
+        // datapath access may keep throwing on a word the scrub has
+        // already seen.
+        sorter_.store().memory().relaunder();
+        sorter_.table().memory().relaunder();
+        sorter_.search_tree().relaunder();
+    }
 
     ScrubOutcome outcome;
     const AuditReport report = sorter_.audit();
@@ -54,8 +61,9 @@ ScrubOutcome Scrubber::scrub() {
     return outcome;
 }
 
-void Scrubber::register_metrics(obs::MetricsRegistry& registry,
-                                const std::string& prefix) const {
+template <class Sorter>
+void Scrubber<Sorter>::register_metrics(obs::MetricsRegistry& registry,
+                                        const std::string& prefix) const {
     const auto cnt = [&](const char* name, const std::uint64_t ScrubberStats::*field) {
         registry.register_counter_fn(prefix + "." + name,
                                      [this, field] { return stats_.*field; });
@@ -67,5 +75,8 @@ void Scrubber::register_metrics(obs::MetricsRegistry& registry,
     cnt("issues_seen", &ScrubberStats::issues_seen);
     cnt("entries_lost", &ScrubberStats::entries_lost);
 }
+
+template class Scrubber<core::TagSorter>;
+template class Scrubber<core::FfsSorter>;
 
 }  // namespace wfqs::fault

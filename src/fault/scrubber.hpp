@@ -1,18 +1,20 @@
-// The self-healing driver: turns a faulted TagSorter back into a
-// consistent one, escalating as little as possible.
+// The self-healing driver: turns a faulted sorter back into a consistent
+// one, escalating as little as possible. One escalation serves both
+// sorter types (TagSorter and the host-native FfsSorter):
 //
-//   scrub() = relaunder ECC state → audit → (clean | repair | rebuild)
+//   scrub() = [relaunder ECC state →] audit → (clean | repair | rebuild)
 //
-// 1. *Relaunder*: every protected memory corrects its correctable words
+// 1. *Relaunder* (TagSorter only — FfsSorter has no ECC-protected
+//    memories): every protected memory corrects its correctable words
 //    and makes uncorrectable ones authoritative, so the datapath cannot
 //    keep throwing on a word the audit already judged.
-// 2. *Audit*: TagSorter::audit() cross-checks the three entities.
-// 3. *Repair*: when every issue is reconstructible from the linked list,
-//    TagSorter::repair() fixes them off the datapath and a verification
-//    audit confirms the result.
+// 2. *Audit*: the sorter's audit() cross-checks its structures.
+// 3. *Repair*: when every issue is reconstructible, the sorter's
+//    repair() fixes them off the datapath and a verification audit
+//    confirms the result.
 // 4. *Rebuild*: anything else drains the salvageable entries and
-//    re-sorts them (TagSorter::rebuild()); packets whose tags were
-//    destroyed are lost and counted, never silently reordered.
+//    re-sorts them (rebuild()); packets whose tags were destroyed are
+//    lost and counted, never silently reordered.
 //
 // The scrubber is stateless between calls except for its tallies, so one
 // instance can serve a long soak or be constructed per recovery.
@@ -23,6 +25,7 @@
 
 namespace wfqs::core {
 class TagSorter;
+class FfsSorter;
 }
 namespace wfqs::obs {
 class MetricsRegistry;
@@ -53,9 +56,11 @@ struct ScrubberStats {
     std::uint64_t entries_lost = 0;
 };
 
+/// Instantiated for core::TagSorter and core::FfsSorter (scrubber.cpp).
+template <class Sorter>
 class Scrubber {
 public:
-    explicit Scrubber(core::TagSorter& sorter) : sorter_(sorter) {}
+    explicit Scrubber(Sorter& sorter) : sorter_(sorter) {}
 
     /// Run one full scrub pass; always leaves the sorter consistent.
     ScrubOutcome scrub();
@@ -67,8 +72,11 @@ public:
                           const std::string& prefix = "scrub") const;
 
 private:
-    core::TagSorter& sorter_;
+    Sorter& sorter_;
     ScrubberStats stats_;
 };
+
+extern template class Scrubber<core::TagSorter>;
+extern template class Scrubber<core::FfsSorter>;
 
 }  // namespace wfqs::fault

@@ -16,13 +16,6 @@ RefSorter RefSorter::mirror(const core::TagSorter& sorter) {
     return RefSorter(cfg);
 }
 
-RefSorter RefSorter::mirror(const core::ShardedSorter& sorter) {
-    Config cfg;
-    cfg.capacity = sorter.capacity();
-    cfg.window_span = 0;  // bank-local discipline: not globally expressible
-    return RefSorter(cfg);
-}
-
 void RefSorter::validate_incoming(std::uint64_t tag) const {
     if (empty()) return;
     const std::uint64_t head = by_tag_.begin()->first;
@@ -113,7 +106,7 @@ void RefSorter::resync(const core::TagSorter& sorter) {
     if (!by_tag_.empty()) max_seen_ = by_tag_.rbegin()->first;
 }
 
-void RefSorter::resync(const core::ShardedSorter& sorter) {
+void RefSorter::resync(const core::ShardedSorter<core::TagSorter>& sorter) {
     by_tag_.clear();
     for (unsigned i = 0; i < sorter.num_banks(); ++i)
         absorb(sorter.bank(i),

@@ -31,6 +31,7 @@
 #include "core/tag_sorter.hpp"
 
 namespace wfqs::core {
+template <class Bank>
 class ShardedSorter;
 }
 
@@ -55,9 +56,6 @@ public:
     /// A reference enforcing exactly the contract of `sorter` (capacity,
     /// window span, strict-minimum mode).
     static RefSorter mirror(const core::TagSorter& sorter);
-    /// Sharded mirror: aggregate capacity, no window check (the sharded
-    /// sorter's discipline is bank-local; see Config::window_span).
-    static RefSorter mirror(const core::ShardedSorter& sorter);
 
     // -- datapath ----------------------------------------------------------
 
@@ -104,7 +102,7 @@ public:
     /// and draining banks included — their entries are still owed to the
     /// output). Used by the reshard soak after scrubs and by degraded-mode
     /// recovery checks.
-    void resync(const core::ShardedSorter& sorter);
+    void resync(const core::ShardedSorter<core::TagSorter>& sorter);
 
 private:
     /// Append one recovered TagSorter's contents (resync minus the clear);

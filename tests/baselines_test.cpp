@@ -2,11 +2,14 @@
 // against a reference model under a shared monotone-window workload, plus
 // structure-specific behaviours (heap stability, calendar resize, CAM
 // sweep costs, TCAM probe bound, binning inexactness, vEB duplicates),
-// and the batched insert/pop entry points against their scalar loops.
+// the batched insert/pop entry points against their scalar loops, and the
+// sorter-backed queue's ffs backend in lockstep with the cycle model.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/binning_queue.hpp"
@@ -450,6 +453,120 @@ TEST(BatchApi, TagSorterBatchKeepsCycleAccounting) {
     EXPECT_EQ(scalar_sim.clock().now(), batch_sim.clock().now());
     EXPECT_EQ(scalar.stats().pop_cycles_total, batched.stats().pop_cycles_total);
 }
+
+// A batch that throws part-way leaves its applied prefix in the sorter;
+// the queue stats must count exactly that prefix, on both backends and
+// with or without sharding.
+TEST(BatchApi, ThrowingInsertCountsAppliedPrefix) {
+    for (const SorterBackend backend : all_sorter_backends()) {
+        for (const unsigned banks : {1u, 4u}) {
+            SCOPED_TRACE(backend_name(backend) + " x" + std::to_string(banks));
+            QueueParams params{16, 1 << 10};
+            params.num_banks = banks;
+            params.backend = backend;
+            auto q = make_tag_queue(QueueKind::MultibitTree, params);
+            const auto sram_total = [&]() -> std::uint64_t {
+                return q->simulation() ? q->simulation()->total_memory_stats().total()
+                                       : 0;
+            };
+            const std::uint64_t sram_before = sram_total();
+
+            // Entries 0..15 populate every bank; the 17th lies far outside
+            // the moving window, so its bank rejects it.
+            std::vector<QueueEntry> entries;
+            for (std::uint32_t i = 0; i < 16; ++i) entries.push_back({i, i});
+            entries.push_back({std::uint64_t{1} << 40, 16});
+            for (std::uint32_t i = 17; i < 21; ++i) entries.push_back({i, i});
+
+            EXPECT_THROW(q->insert_batch(entries.data(), entries.size()),
+                         std::invalid_argument);
+            ASSERT_EQ(q->size(), 16u);
+            EXPECT_EQ(q->stats().inserts, 16u);
+            const std::uint64_t expect_accesses =
+                q->simulation() ? sram_total() - sram_before : 16;
+            EXPECT_EQ(q->stats().accesses_total, expect_accesses);
+            for (std::uint64_t t = 0; t < 16; ++t) EXPECT_EQ(q->pop_min()->tag, t);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sorter-backed TagQueue adapter: the ffs backend in lockstep with the
+// cycle model
+
+void run_queue_lockstep(unsigned num_banks, std::uint64_t seed) {
+    QueueParams params;
+    params.range_bits = 16;
+    params.capacity = 2048;
+    params.num_banks = num_banks;
+    auto model = make_tag_queue(QueueKind::MultibitTree, params);
+    params.backend = SorterBackend::kFfs;
+    auto ffs = make_tag_queue(QueueKind::MultibitTree, params);
+
+    Rng rng(seed);
+    std::uint64_t cursor = 0;
+    std::vector<QueueEntry> batch;
+    for (int round = 0; round < 200; ++round) {
+        // A burst of inserts (batched on both sides), then a partial drain.
+        batch.clear();
+        const std::size_t burst = 1 + rng.next_below(96);
+        for (std::size_t i = 0; i < burst; ++i) {
+            cursor += rng.next_below(40);
+            batch.push_back({cursor, static_cast<std::uint32_t>(rng.next_below(1 << 16))});
+        }
+        model->insert_batch(batch.data(), batch.size());
+        ffs->insert_batch(batch.data(), batch.size());
+        ASSERT_EQ(model->size(), ffs->size());
+
+        const auto mpeek = model->peek_min();
+        const auto fpeek = ffs->peek_min();
+        ASSERT_EQ(mpeek.has_value(), fpeek.has_value());
+        if (mpeek) {
+            EXPECT_EQ(mpeek->tag, fpeek->tag);
+            EXPECT_EQ(mpeek->payload, fpeek->payload);
+        }
+
+        const std::size_t drain = rng.next_below(static_cast<std::uint64_t>(
+            model->size() + 1));
+        for (std::size_t i = 0; i < drain; ++i) {
+            const auto m = model->pop_min();
+            const auto f = ffs->pop_min();
+            ASSERT_EQ(m.has_value(), f.has_value());
+            if (!m) break;
+            ASSERT_EQ(m->tag, f->tag) << "round " << round << " pop " << i;
+            ASSERT_EQ(m->payload, f->payload) << "round " << round << " pop " << i;
+        }
+    }
+    // Full drain must agree to the last entry.
+    for (;;) {
+        const auto m = model->pop_min();
+        const auto f = ffs->pop_min();
+        ASSERT_EQ(m.has_value(), f.has_value());
+        if (!m) break;
+        ASSERT_EQ(m->tag, f->tag);
+        ASSERT_EQ(m->payload, f->payload);
+    }
+}
+
+TEST(SorterTagQueue, FfsLockstepSingleBank) { run_queue_lockstep(1, 11); }
+TEST(SorterTagQueue, FfsLockstepFourBanks) { run_queue_lockstep(4, 22); }
+
+TEST(SorterTagQueue, FfsReportsBackendNameAndRecovers) {
+    QueueParams params;
+    params.backend = SorterBackend::kFfs;
+    auto q = make_tag_queue(QueueKind::MultibitTree, params);
+    EXPECT_EQ(q->name(), "multi-bit tree [ffs]");
+    EXPECT_EQ(q->model(), "sort");
+    EXPECT_EQ(q->simulation(), nullptr);
+    q->insert(7, 1);
+    EXPECT_TRUE(q->recover());  // clean recover is a no-op success
+    EXPECT_EQ(q->pop_min()->tag, 7u);
+
+    params.num_banks = 4;
+    EXPECT_EQ(make_tag_queue(QueueKind::MultibitTree, params)->name(),
+              "multi-bit tree [ffs] x4");
+}
+
 
 }  // namespace
 }  // namespace wfqs::baselines

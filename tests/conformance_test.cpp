@@ -85,13 +85,8 @@ TEST(Conformance, TagSorterNetlistOnEdgeGeometries) {
 TEST(Conformance, ShardedSorterAllBankConfigs) {
     for (const auto& entry : standard_sharded_configs()) {
         SCOPED_TRACE(entry.name);
-        hw::Simulation probe;
-        const std::uint64_t bank_span =
-            core::TagSorter(entry.config.bank, probe).window_span();
-        expect_conformant(entry.name, bank_span, [&](const OpSeq& ops) {
-            return diff_sharded_sorter(ops, entry.config, entry.flow_mode, {},
-                                       entry.reshard);
-        });
+        expect_conformant(entry.name, span_of(entry.config.bank),
+                          [&](const OpSeq& ops) { return diff_sharded_row(ops, entry); });
     }
 }
 
@@ -100,12 +95,11 @@ TEST(Conformance, ShardedFlowHashWrapBoundaryRaces) {
     // wrap-heavy mix rides the live window across the 2^12 seam many
     // times per case while insert_and_pop splits its pop and insert
     // across two flow-hashed banks.
-    core::ShardedSorter::Config config;
-    config.num_banks = 4;
-    config.select = core::ShardedSorter::BankSelect::kFlowHash;
-    hw::Simulation probe;
-    const std::uint64_t bank_span =
-        core::TagSorter(config.bank, probe).window_span();
+    NamedShardedConfig row;
+    row.name = "wrap-race";
+    row.config.num_banks = 4;
+    row.config.select = core::BankSelect::kFlowHash;
+    const std::uint64_t bank_span = span_of(row.config.bank);
 
     GenProfile race = wrap_heavy_profile(bank_span);
     race.name = "wrap-race";
@@ -119,9 +113,8 @@ TEST(Conformance, ShardedFlowHashWrapBoundaryRaces) {
     cfg.cases = 8;
     cfg.ops_per_case = 3000;
     cfg.profiles = {race};
-    const auto failure = run_property(cfg, [&](const OpSeq& ops) {
-        return diff_sharded_sorter(ops, config, FlowKeyMode::kByTag);
-    });
+    const auto failure = run_property(
+        cfg, [&](const OpSeq& ops) { return diff_sharded_row(ops, row); });
     if (failure)
         FAIL() << "wrap-boundary race diverged (seed " << failure->seed
                << "): " << failure->message << "\n"

@@ -51,8 +51,7 @@ TEST(CorpusReplay, EveryShardedConfig) {
     for (const auto& file : corpus_files()) {
         const OpSeq ops = read_ops_file(file.string());
         for (const auto& entry : standard_sharded_configs()) {
-            const auto err = diff_sharded_sorter(ops, entry.config,
-                                                 entry.flow_mode, {}, entry.reshard);
+            const auto err = diff_sharded_row(ops, entry);
             EXPECT_EQ(err, std::nullopt)
                 << file.filename() << " on " << entry.name << ": " << *err;
         }

@@ -3,8 +3,7 @@
 // the 64-bit word, wrap-window boundaries, full-capacity spill), the
 // search primitives against a std::set reference, audit/repair/rebuild
 // under hand-planted corruption, the committed regression corpus through
-// the three-way differ, and the ffs-backed TagQueue in lockstep with the
-// cycle-modeled one (single bank and four interleaved banks).
+// the three-way differ, and the backend names.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +15,7 @@
 #include "baselines/factory.hpp"
 #include "common/rng.hpp"
 #include "core/ffs_sorter.hpp"
+#include "fault/scrubber.hpp"
 #include "proptest/differ.hpp"
 #include "proptest/proptest.hpp"
 
@@ -218,6 +218,27 @@ TEST(FfsSorterIntegrity, RepairsSummaryBitFlip) {
     EXPECT_EQ(s.pop_min()->tag, 0u);
 }
 
+// The shared scrubber escalation serves ffs banks too: a repairable fault
+// is repaired and then verified by a second audit, an unrepairable one
+// rebuilds.
+TEST(FfsSorterIntegrity, ScrubberRepairsThenRebuilds) {
+    FfsSorter s = seeded_sorter();
+    fault::Scrubber scrubber(s);
+    EXPECT_EQ(scrubber.scrub().action, fault::ScrubAction::kClean);
+
+    s.debug_level(1)[0] ^= 1;
+    EXPECT_EQ(scrubber.scrub().action, fault::ScrubAction::kRepaired);
+    EXPECT_TRUE(s.audit().clean());
+
+    const std::uint32_t head = s.debug_chain_head(0);
+    s.debug_node_next(head) = head;  // self-loop: beyond repair
+    EXPECT_EQ(scrubber.scrub().action, fault::ScrubAction::kRebuilt);
+    EXPECT_TRUE(s.audit().clean());
+    EXPECT_EQ(scrubber.stats().scrubs, 3u);
+    EXPECT_EQ(scrubber.stats().repaired, 1u);
+    EXPECT_EQ(scrubber.stats().rebuilt, 1u);
+}
+
 TEST(FfsSorterIntegrity, RepairsLeafWithoutChain) {
     FfsSorter s = seeded_sorter();
     s.debug_level(0)[7] |= 1;  // marker for value 448, which has no chain
@@ -315,79 +336,6 @@ TEST(FfsCorpusReplay, EveryArtifactEveryGeometry) {
                 << file.filename() << " on " << entry.name << ": " << *err;
         }
     }
-}
-
-// --- the ffs TagQueue backend in lockstep with the cycle model ----------
-
-void run_queue_lockstep(unsigned num_banks, std::uint64_t seed) {
-    baselines::QueueParams params;
-    params.range_bits = 16;
-    params.capacity = 2048;
-    params.num_banks = num_banks;
-    auto model = baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                           params);
-    params.backend = baselines::SorterBackend::kFfs;
-    auto ffs = baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
-                                         params);
-
-    Rng rng(seed);
-    std::uint64_t cursor = 0;
-    std::vector<baselines::QueueEntry> batch;
-    for (int round = 0; round < 200; ++round) {
-        // A burst of inserts (batched on both sides), then a partial drain.
-        batch.clear();
-        const std::size_t burst = 1 + rng.next_below(96);
-        for (std::size_t i = 0; i < burst; ++i) {
-            cursor += rng.next_below(40);
-            batch.push_back({cursor, static_cast<std::uint32_t>(rng.next_below(1 << 16))});
-        }
-        model->insert_batch(batch.data(), batch.size());
-        ffs->insert_batch(batch.data(), batch.size());
-        ASSERT_EQ(model->size(), ffs->size());
-
-        const auto mpeek = model->peek_min();
-        const auto fpeek = ffs->peek_min();
-        ASSERT_EQ(mpeek.has_value(), fpeek.has_value());
-        if (mpeek) {
-            EXPECT_EQ(mpeek->tag, fpeek->tag);
-            EXPECT_EQ(mpeek->payload, fpeek->payload);
-        }
-
-        const std::size_t drain = rng.next_below(static_cast<std::uint64_t>(
-            model->size() + 1));
-        for (std::size_t i = 0; i < drain; ++i) {
-            const auto m = model->pop_min();
-            const auto f = ffs->pop_min();
-            ASSERT_EQ(m.has_value(), f.has_value());
-            if (!m) break;
-            ASSERT_EQ(m->tag, f->tag) << "round " << round << " pop " << i;
-            ASSERT_EQ(m->payload, f->payload) << "round " << round << " pop " << i;
-        }
-    }
-    // Full drain must agree to the last entry.
-    for (;;) {
-        const auto m = model->pop_min();
-        const auto f = ffs->pop_min();
-        ASSERT_EQ(m.has_value(), f.has_value());
-        if (!m) break;
-        ASSERT_EQ(m->tag, f->tag);
-        ASSERT_EQ(m->payload, f->payload);
-    }
-}
-
-TEST(FfsTagQueue, LockstepSingleBank) { run_queue_lockstep(1, 11); }
-TEST(FfsTagQueue, LockstepFourBanks) { run_queue_lockstep(4, 22); }
-
-TEST(FfsTagQueue, ReportsBackendNameAndRecovers) {
-    baselines::QueueParams params;
-    params.backend = baselines::SorterBackend::kFfs;
-    auto q = baselines::make_tag_queue(baselines::QueueKind::MultibitTree, params);
-    EXPECT_NE(q->name().find("[ffs]"), std::string::npos);
-    EXPECT_EQ(q->model(), "sort");
-    EXPECT_EQ(q->simulation(), nullptr);
-    q->insert(7, 1);
-    EXPECT_TRUE(q->recover());  // clean recover is a no-op success
-    EXPECT_EQ(q->pop_min()->tag, 7u);
 }
 
 TEST(FfsBackendNames, RoundTrip) {

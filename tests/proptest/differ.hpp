@@ -9,8 +9,9 @@
 //     every result, exception parity on rejected tags, size/peek parity
 //     after every op, audit() cleanliness, and the cycle-accounting
 //     closure insert_cycles_total + pop_cycles_total == clock delta.
-//   * diff_sharded_sorter — core::ShardedSorter (any bank count, both
-//     bank-select policies) vs ref::RefSorter, plus per-bank audits and
+//   * diff_sharded_sorter — core::ShardedSorter over either bank type
+//     (any bank count, both bank-select policies) vs a per-bank
+//     ref::RefSorter model, plus per-bank audits and, on TagSorter banks,
 //     the sharded accounting closure sequential_cycles == clock delta.
 //   * diff_matcher     — gate-level netlists and the behavioural model vs
 //     ref_match over exhaustive small words, structured edge words, and
@@ -461,7 +462,7 @@ enum class FlowKeyMode {
     kBySeq,
 };
 
-/// Golden model of a ShardedSorter: one RefSorter per bank, each
+/// Golden model of a ShardedSorter<Bank>: one RefSorter per bank, each
 /// enforcing the bank-local contract — the per-bank capacity, the
 /// per-bank moving window (in global tag units: N x the bank span under
 /// interleave, since local tags are compressed by N; the bank span under
@@ -477,9 +478,10 @@ enum class FlowKeyMode {
 /// spill/routing state and can name a different bank than the DUT used.
 /// Live resharding is mirrored move-by-move: apply_move() replays each
 /// DUT MoveRecord, ensure_banks() tracks live bank adds.
+template <class Bank>
 class ShardedRef {
 public:
-    ShardedRef(const core::ShardedSorter& dut, FlowKeyMode mode,
+    ShardedRef(const core::ShardedSorter<Bank>& dut, FlowKeyMode mode,
                const std::size_t* op_index)
         : dut_(dut), mode_(mode), op_index_(op_index) {
         cfg_.capacity = dut.bank(0).capacity();
@@ -610,7 +612,7 @@ private:
         return best;
     }
 
-    const core::ShardedSorter& dut_;
+    const core::ShardedSorter<Bank>& dut_;
     FlowKeyMode mode_;
     const std::size_t* op_index_;
     ref::RefSorter::Config cfg_;
@@ -628,23 +630,32 @@ inline core::ReshardConfig differ_reshard_defaults() {
     return cfg;
 }
 
-/// Differential-test one ShardedSorter configuration against the
+/// Differential-test one ShardedSorter<Bank> configuration against the
 /// per-bank golden model (exact window, capacity, and tie-break parity
 /// for both bank-select policies). A ReshardController is always
 /// attached: kAddBank/kRemoveBank/kPumpMigration ops drive it (they are
 /// contract-legal no-ops under interleave, which refuses resharding),
 /// and every resulting MoveRecord is replayed into the reference in DUT
-/// order before the post-op parity check.
-inline std::optional<std::string> diff_sharded_sorter(
-    const OpSeq& ops, const core::ShardedSorter::Config& config,
+/// order before the post-op parity check. The burst check audits every
+/// bank; on TagSorter banks it also closes the cycle ledger, on the
+/// clockless FfsSorter banks it runs check_ffs_sorter_integrity instead.
+template <class Bank>
+std::optional<std::string> diff_sharded_sorter(
+    const OpSeq& ops, const core::ShardedConfig& config,
     FlowKeyMode flow_mode = FlowKeyMode::kByTag, const DiffOptions& opt = {},
     const core::ReshardConfig& reshard_cfg = differ_reshard_defaults()) {
+    constexpr bool kModeled = core::ShardedSorter<Bank>::kModeled;
     hw::Simulation sim;
-    core::ShardedSorter sorter(config, sim);
-    core::ReshardController controller(sorter, reshard_cfg);
+    auto sorter = [&] {
+        if constexpr (kModeled)
+            return core::ShardedSorter<Bank>(config, sim);
+        else
+            return core::ShardedSorter<Bank>(config);
+    }();
+    core::ReshardController<Bank> controller(sorter, reshard_cfg);
     const std::uint64_t t0 = sim.clock().now();
     std::size_t cur_op = 0;
-    ShardedRef ref(sorter, flow_mode, &cur_op);
+    ShardedRef<Bank> ref(sorter, flow_mode, &cur_op);
     const auto key = [&](std::uint64_t tag) { return ref.flow_key(tag); };
 
     std::vector<core::MoveRecord> pending;
@@ -695,12 +706,17 @@ inline std::optional<std::string> diff_sharded_sorter(
     };
     dut.burst_check = [&](std::size_t) -> std::optional<std::string> {
         for (unsigned b = 0; b < sorter.num_banks(); ++b) {
-            const auto report = sorter.bank(b).audit();
-            if (!report.clean())
-                return "bank " + std::to_string(b) + " audit found " +
-                       std::to_string(report.issues.size()) +
-                       " issue(s): " + report.issues.front().detail;
+            if constexpr (kModeled) {
+                const auto report = sorter.bank(b).audit();
+                if (!report.clean())
+                    return "bank " + std::to_string(b) + " audit found " +
+                           std::to_string(report.issues.size()) +
+                           " issue(s): " + report.issues.front().detail;
+            } else if (auto err = check_ffs_sorter_integrity(sorter.bank(b))) {
+                return "bank " + std::to_string(b) + ": " + *err;
+            }
         }
+        if constexpr (!kModeled) return std::nullopt;
         const std::uint64_t elapsed = sim.clock().now() - t0;
         const std::uint64_t accounted =
             sorter.stats().sequential_cycles + sorter.stats().migration_cycles;
@@ -980,9 +996,10 @@ inline std::vector<NamedTagConfig> standard_tag_configs() {
     return v;
 }
 
+/// One sharded differential row; every row runs on both bank types.
 struct NamedShardedConfig {
     std::string name;
-    core::ShardedSorter::Config config;
+    core::ShardedConfig config;
     FlowKeyMode flow_mode = FlowKeyMode::kByTag;
     /// Controller settings for this row. The default keeps migration
     /// purely op-driven; reshard rows turn autonomous rebalancing on.
@@ -990,10 +1007,10 @@ struct NamedShardedConfig {
 };
 
 inline std::vector<NamedShardedConfig> standard_sharded_configs() {
-    using Select = core::ShardedSorter::BankSelect;
+    using Select = core::BankSelect;
     std::vector<NamedShardedConfig> v;
     for (const unsigned n : {1u, 2u, 4u, 8u}) {
-        core::ShardedSorter::Config cfg;
+        core::ShardedConfig cfg;
         cfg.num_banks = n;
         cfg.select = Select::kTagInterleave;
         v.push_back({"interleave-n" + std::to_string(n), cfg, FlowKeyMode::kByTag});
@@ -1002,7 +1019,7 @@ inline std::vector<NamedShardedConfig> standard_sharded_configs() {
     }
     // Tag-independent flow keys: duplicate order across banks is bank-index
     // order, so this row runs with payload comparison off (see FlowKeyMode).
-    core::ShardedSorter::Config byseq;
+    core::ShardedConfig byseq;
     byseq.num_banks = 4;
     byseq.select = Select::kFlowHash;
     v.push_back({"flowhash-n4-byseq", byseq, FlowKeyMode::kBySeq});
@@ -1012,7 +1029,7 @@ inline std::vector<NamedShardedConfig> standard_sharded_configs() {
     // adds explicit a/r/m churn. Corpus artifacts with reshard ops get
     // their full workout here; on the rows above those ops are
     // contract-legal no-ops or interleave refusals.
-    core::ShardedSorter::Config live;
+    core::ShardedConfig live;
     live.num_banks = 4;
     live.select = Select::kFlowHash;
     NamedShardedConfig reshard_row{"flowhash-n4-reshard", live,
@@ -1023,6 +1040,19 @@ inline std::vector<NamedShardedConfig> standard_sharded_configs() {
     reshard_row.reshard.check_interval = 32;
     v.push_back(std::move(reshard_row));
     return v;
+}
+
+/// Replay `ops` through one sharded row on both bank types, model banks
+/// first; the first divergence names the bank type that produced it.
+inline std::optional<std::string> diff_sharded_row(const OpSeq& ops,
+                                                   const NamedShardedConfig& row) {
+    if (auto err = diff_sharded_sorter<core::TagSorter>(ops, row.config, row.flow_mode,
+                                                        {}, row.reshard))
+        return "model banks: " + *err;
+    if (auto err = diff_sharded_sorter<core::FfsSorter>(ops, row.config, row.flow_mode,
+                                                        {}, row.reshard))
+        return "ffs banks: " + *err;
+    return std::nullopt;
 }
 
 /// Every baseline queue family under the harness. The wrapped rows fold

@@ -3,10 +3,13 @@
 // (including wrap-window epochs and below-minimum inserts), N=1 bit- and
 // cycle-identity with the unsharded path, duplicate FIFO order across the
 // interleave, flow-hash placement, window widening, overflow contracts,
-// and the overlapped-pipeline arbiter model.
+// recovery, and the overlapped-pipeline arbiter model. The bank-agnostic
+// tests run on TagSorter and FfsSorter banks alike; cycles, the arbiter,
+// and the SRAM inventory are model-only.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,6 +17,7 @@
 #include "core/tag_sorter.hpp"
 #include "hw/simulation.hpp"
 #include "ref/ref_sorter.hpp"
+#include "sharded_rig.hpp"
 
 namespace wfqs::core {
 namespace {
@@ -23,9 +27,8 @@ namespace {
 // capacity/window preconditions, which is what these streams need.
 using ReferenceSorter = ref::RefSorter;
 
-ShardedSorter::Config sharded_config(unsigned num_banks,
-                                     std::size_t bank_capacity = 4096) {
-    ShardedSorter::Config cfg;
+ShardedConfig sharded_config(unsigned num_banks, std::size_t bank_capacity = 4096) {
+    ShardedConfig cfg;
     cfg.bank.capacity = bank_capacity;
     cfg.num_banks = num_banks;
     return cfg;
@@ -45,11 +48,11 @@ TEST(ShardedSorter, RandomizedEquivalenceAcrossBankCounts) {
     hw::Simulation single_sim;
     TagSorter single({}, single_sim);
     std::vector<std::unique_ptr<hw::Simulation>> sims;
-    std::vector<std::unique_ptr<ShardedSorter>> sharded;
+    std::vector<std::unique_ptr<ShardedSorter<TagSorter>>> sharded;
     for (const unsigned n : {1u, 2u, 4u, 8u}) {
         sims.push_back(std::make_unique<hw::Simulation>());
-        sharded.push_back(
-            std::make_unique<ShardedSorter>(sharded_config(n), *sims.back()));
+        sharded.push_back(std::make_unique<ShardedSorter<TagSorter>>(sharded_config(n),
+                                                                     *sims.back()));
     }
     ReferenceSorter ref;
 
@@ -116,26 +119,28 @@ TEST(ShardedSorter, RandomizedEquivalenceAcrossBankCounts) {
 // Drain-to-empty ordering: after a burst of inserts, pops come out fully
 // sorted and FIFO among duplicates, whatever the bank count.
 TEST(ShardedSorter, DrainsInSortedOrder) {
-    for (const unsigned n : {2u, 4u, 16u}) {
-        hw::Simulation sim;
-        ShardedSorter s(sharded_config(n), sim);
-        ReferenceSorter ref;
-        Rng rng(7 + n);
-        for (int i = 0; i < 500; ++i) {
-            const std::uint64_t tag = rng.next_below(3000);
-            s.insert(tag, static_cast<std::uint32_t>(i));
-            ref.insert(tag, static_cast<std::uint32_t>(i));
+    for_each_bank_type([]<class Bank>() {
+        for (const unsigned n : {2u, 4u, 16u}) {
+            hw::Simulation sim;
+            auto s = make_sharded<Bank>(sharded_config(n), sim);
+            ReferenceSorter ref;
+            Rng rng(7 + n);
+            for (int i = 0; i < 500; ++i) {
+                const std::uint64_t tag = rng.next_below(3000);
+                s.insert(tag, static_cast<std::uint32_t>(i));
+                ref.insert(tag, static_cast<std::uint32_t>(i));
+            }
+            while (ref.size() > 0) {
+                const auto want = ref.pop_min();
+                const auto got = s.pop_min();
+                ASSERT_TRUE(got.has_value());
+                EXPECT_EQ(got->tag, want->tag);
+                EXPECT_EQ(got->payload, want->payload);
+            }
+            EXPECT_TRUE(s.empty());
+            EXPECT_FALSE(s.pop_min().has_value());
         }
-        while (ref.size() > 0) {
-            const auto want = ref.pop_min();
-            const auto got = s.pop_min();
-            ASSERT_TRUE(got.has_value());
-            EXPECT_EQ(got->tag, want->tag);
-            EXPECT_EQ(got->payload, want->payload);
-        }
-        EXPECT_TRUE(s.empty());
-        EXPECT_FALSE(s.pop_min().has_value());
-    }
+    });
 }
 
 // ------------------------------------------------ N=1 pass-through
@@ -147,7 +152,7 @@ TEST(ShardedSorter, SingleBankIsCycleIdenticalToTagSorter) {
     hw::Simulation plain_sim;
     TagSorter plain({}, plain_sim);
     hw::Simulation sharded_sim;
-    ShardedSorter one(sharded_config(1), sharded_sim);
+    ShardedSorter<TagSorter> one(sharded_config(1), sharded_sim);
 
     Rng rng(99);
     std::uint64_t tag = 0;
@@ -191,7 +196,7 @@ TEST(ShardedSorter, SingleBankIsCycleIdenticalToTagSorter) {
 // Multi-bank inventories scope every memory per bank.
 TEST(ShardedSorter, MultiBankInventoryIsScopedPerBank) {
     hw::Simulation sim;
-    ShardedSorter s(sharded_config(4), sim);
+    ShardedSorter<TagSorter> s(sharded_config(4), sim);
     EXPECT_NE(sim.find_memory("bank0.tag-store"), nullptr);
     EXPECT_NE(sim.find_memory("bank3.translation-table"), nullptr);
     EXPECT_NE(sim.find_memory("bank2.tree-level-2"), nullptr);
@@ -202,45 +207,50 @@ TEST(ShardedSorter, MultiBankInventoryIsScopedPerBank) {
 // ------------------------------------------------ placement policies
 
 TEST(ShardedSorter, InterleaveKeepsDuplicateFifoOrder) {
-    hw::Simulation sim;
-    ShardedSorter s(sharded_config(4), sim);
-    s.insert(100, 1);
-    s.insert(107, 2);
-    s.insert(100, 3);  // duplicate of 100: same bank, FIFO behind payload 1
-    s.insert(100, 4);
-    const auto a = s.pop_min();
-    const auto b = s.pop_min();
-    const auto c = s.pop_min();
-    const auto d = s.pop_min();
-    EXPECT_EQ(a->payload, 1u);
-    EXPECT_EQ(b->payload, 3u);
-    EXPECT_EQ(c->payload, 4u);
-    EXPECT_EQ(d->tag, 107u);
+    for_each_bank_type([]<class Bank>() {
+        hw::Simulation sim;
+        auto s = make_sharded<Bank>(sharded_config(4), sim);
+        s.insert(100, 1);
+        s.insert(107, 2);
+        s.insert(100, 3);  // duplicate of 100: same bank, FIFO behind payload 1
+        s.insert(100, 4);
+        const auto a = s.pop_min();
+        const auto b = s.pop_min();
+        const auto c = s.pop_min();
+        const auto d = s.pop_min();
+        EXPECT_EQ(a->payload, 1u);
+        EXPECT_EQ(b->payload, 3u);
+        EXPECT_EQ(c->payload, 4u);
+        EXPECT_EQ(d->tag, 107u);
+    });
 }
 
 TEST(ShardedSorter, FlowHashPinsAFlowToOneBank) {
-    ShardedSorter::Config cfg = sharded_config(8);
-    cfg.select = ShardedSorter::BankSelect::kFlowHash;
-    hw::Simulation sim;
-    ShardedSorter s(cfg, sim);
-    // All of flow 7's tags must land in one bank; pops still merge by value.
-    for (int i = 0; i < 32; ++i)
-        s.insert(static_cast<std::uint64_t>(10 * i), static_cast<std::uint32_t>(i),
-                 /*flow_key=*/7);
-    unsigned populated = 0;
-    for (unsigned b = 0; b < s.num_banks(); ++b)
-        populated += s.bank(b).size() > 0 ? 1 : 0;
-    EXPECT_EQ(populated, 1u);
+    for_each_bank_type([]<class Bank>() {
+        ShardedConfig cfg = sharded_config(8);
+        cfg.select = BankSelect::kFlowHash;
+        hw::Simulation sim;
+        auto s = make_sharded<Bank>(cfg, sim);
+        // All of flow 7's tags must land in one bank; pops still merge by
+        // value.
+        for (int i = 0; i < 32; ++i)
+            s.insert(static_cast<std::uint64_t>(10 * i), static_cast<std::uint32_t>(i),
+                     /*flow_key=*/7);
+        unsigned populated = 0;
+        for (unsigned b = 0; b < s.num_banks(); ++b)
+            populated += s.bank(b).size() > 0 ? 1 : 0;
+        EXPECT_EQ(populated, 1u);
 
-    for (int i = 0; i < 64; ++i)
-        s.insert(1 + static_cast<std::uint64_t>(5 * i),
-                 static_cast<std::uint32_t>(100 + i),
-                 /*flow_key=*/static_cast<std::uint64_t>(i));
-    std::uint64_t last = 0;
-    while (const auto popped = s.pop_min()) {
-        EXPECT_GE(popped->tag, last);
-        last = popped->tag;
-    }
+        for (int i = 0; i < 64; ++i)
+            s.insert(1 + static_cast<std::uint64_t>(5 * i),
+                     static_cast<std::uint32_t>(100 + i),
+                     /*flow_key=*/static_cast<std::uint64_t>(i));
+        std::uint64_t last = 0;
+        while (const auto popped = s.pop_min()) {
+            EXPECT_GE(popped->tag, last);
+            last = popped->tag;
+        }
+    });
 }
 
 // ------------------------------------------------ window discipline
@@ -249,56 +259,63 @@ TEST(ShardedSorter, FlowHashPinsAFlowToOneBank) {
 // live window is N x the single-bank span (the Fig. 6 discipline applies
 // per bank, to local values).
 TEST(ShardedSorter, InterleaveWidensTheWrapWindow) {
-    hw::Simulation single_sim;
-    TagSorter single({}, single_sim);
-    hw::Simulation sim;
-    ShardedSorter four(sharded_config(4), sim);
-    EXPECT_EQ(four.window_span(), single.window_span() * 4);
+    for_each_bank_type([]<class Bank>() {
+        // A one-bank sorter is the single-bank baseline (pass-through).
+        hw::Simulation single_sim;
+        auto single = make_sharded<Bank>(sharded_config(1), single_sim);
+        hw::Simulation sim;
+        auto four = make_sharded<Bank>(sharded_config(4), sim);
+        EXPECT_EQ(four.window_span(), single.window_span() * 4);
 
-    const std::uint64_t beyond_single = single.window_span() + 512;
-    single.insert(0, 0);
-    EXPECT_THROW(single.insert(beyond_single, 1), std::invalid_argument);
-    four.insert(0, 0);
-    four.insert(beyond_single, 1);  // within 4x span: accepted
-    EXPECT_EQ(four.pop_min()->tag, 0u);
-    EXPECT_EQ(four.pop_min()->tag, beyond_single);
+        const std::uint64_t beyond_single = single.window_span() + 512;
+        single.insert(0, 0);
+        EXPECT_THROW(single.insert(beyond_single, 1), std::invalid_argument);
+        four.insert(0, 0);
+        four.insert(beyond_single, 1);  // within 4x span: accepted
+        EXPECT_EQ(four.pop_min()->tag, 0u);
+        EXPECT_EQ(four.pop_min()->tag, beyond_single);
 
-    // The aggregate limit is still finite: window_span() maps to local
-    // delta = bank span inside an already-populated bank, which the
-    // per-bank Fig. 6 discipline rejects.
-    hw::Simulation sim2;
-    ShardedSorter four2(sharded_config(4), sim2);
-    four2.insert(0, 0);
-    EXPECT_THROW(four2.insert(four2.window_span(), 1), std::invalid_argument);
-    EXPECT_EQ(four2.size(), 1u);  // rejected insert left every bank intact
+        // The aggregate limit is still finite: window_span() maps to local
+        // delta = bank span inside an already-populated bank, which the
+        // per-bank Fig. 6 discipline rejects.
+        hw::Simulation sim2;
+        auto four2 = make_sharded<Bank>(sharded_config(4), sim2);
+        four2.insert(0, 0);
+        EXPECT_THROW(four2.insert(four2.window_span(), 1), std::invalid_argument);
+        EXPECT_EQ(four2.size(), 1u);  // rejected insert left every bank intact
+    });
 }
 
 TEST(ShardedSorter, BelowMinimumInsertBecomesTheHead) {
-    hw::Simulation sim;
-    ShardedSorter s(sharded_config(4), sim);
-    s.insert(1000, 1);
-    s.insert(1005, 2);
-    s.insert(997, 3);  // undercut: head moves down, lands in bank 997 % 4
-    EXPECT_EQ(s.peek_min()->tag, 997u);
-    std::uint64_t undercuts = 0;
-    for (unsigned b = 0; b < s.num_banks(); ++b)
-        undercuts += s.bank(b).stats().head_undercuts;
-    EXPECT_EQ(undercuts, 1u);
-    EXPECT_EQ(s.pop_min()->payload, 3u);
-    EXPECT_EQ(s.pop_min()->payload, 1u);
+    for_each_bank_type([]<class Bank>() {
+        hw::Simulation sim;
+        auto s = make_sharded<Bank>(sharded_config(4), sim);
+        s.insert(1000, 1);
+        s.insert(1005, 2);
+        s.insert(997, 3);  // undercut: head moves down, lands in bank 997 % 4
+        EXPECT_EQ(s.peek_min()->tag, 997u);
+        std::uint64_t undercuts = 0;
+        for (unsigned b = 0; b < s.num_banks(); ++b)
+            undercuts += s.bank(b).stats().head_undercuts;
+        EXPECT_EQ(undercuts, 1u);
+        EXPECT_EQ(s.pop_min()->payload, 3u);
+        EXPECT_EQ(s.pop_min()->payload, 1u);
+    });
 }
 
 // ------------------------------------------------ capacity contracts
 
 TEST(ShardedSorter, FullBankThrowsOverflow) {
-    hw::Simulation sim;
-    ShardedSorter s(sharded_config(2, /*bank_capacity=*/4), sim);
-    EXPECT_EQ(s.capacity(), 8u);
-    for (std::uint64_t t = 0; t < 8; ++t)
-        s.insert(t, static_cast<std::uint32_t>(t));
-    EXPECT_TRUE(s.full());
-    EXPECT_THROW(s.insert(8, 8), std::overflow_error);  // bank 0 full
-    EXPECT_EQ(s.size(), 8u);                            // nothing leaked
+    for_each_bank_type([]<class Bank>() {
+        hw::Simulation sim;
+        auto s = make_sharded<Bank>(sharded_config(2, /*bank_capacity=*/4), sim);
+        EXPECT_EQ(s.capacity(), 8u);
+        for (std::uint64_t t = 0; t < 8; ++t)
+            s.insert(t, static_cast<std::uint32_t>(t));
+        EXPECT_TRUE(s.full());
+        EXPECT_THROW(s.insert(8, 8), std::overflow_error);  // bank 0 full
+        EXPECT_EQ(s.size(), 8u);                            // nothing leaked
+    });
 }
 
 // ------------------------------------------------ arbiter model
@@ -315,7 +332,7 @@ TEST(ShardedSorter, ModeledThroughputScalesWithBanks) {
     };
     const auto run = [](unsigned banks) {
         hw::Simulation sim;
-        ShardedSorter s(sharded_config(banks), sim);
+        ShardedSorter<TagSorter> s(sharded_config(banks), sim);
         Rng rng(31);
         std::uint64_t tag = 0;
         for (int i = 0; i < 256; ++i) s.insert(tag += rng.next_below(8), 0);
@@ -342,21 +359,23 @@ TEST(ShardedSorter, ModeledThroughputScalesWithBanks) {
 
 // Cross-bank combined ops engage two banks in the same arrival slot.
 TEST(ShardedSorter, CombinedOpsSplitAcrossBanks) {
-    hw::Simulation sim;
-    ShardedSorter s(sharded_config(4), sim);
-    s.insert(0, 1);                             // bank 0
-    const SortedTag r = s.insert_and_pop(5, 2);  // insert bank 1, pop bank 0
-    EXPECT_EQ(r.tag, 0u);
-    EXPECT_EQ(r.payload, 1u);
-    EXPECT_EQ(s.stats().cross_bank_combined, 1u);
-    const SortedTag r2 = s.insert_and_pop(9, 3);  // both in bank 1: fused
-    EXPECT_EQ(r2.tag, 5u);
-    EXPECT_EQ(s.stats().same_bank_combined, 1u);
+    for_each_bank_type([]<class Bank>() {
+        hw::Simulation sim;
+        auto s = make_sharded<Bank>(sharded_config(4), sim);
+        s.insert(0, 1);                              // bank 0
+        const SortedTag r = s.insert_and_pop(5, 2);  // insert bank 1, pop bank 0
+        EXPECT_EQ(r.tag, 0u);
+        EXPECT_EQ(r.payload, 1u);
+        EXPECT_EQ(s.stats().cross_bank_combined, 1u);
+        const SortedTag r2 = s.insert_and_pop(9, 3);  // both in bank 1: fused
+        EXPECT_EQ(r2.tag, 5u);
+        EXPECT_EQ(s.stats().same_bank_combined, 1u);
+    });
 }
 
 TEST(ShardedSorter, RecoverScrubsEveryBank) {
     hw::Simulation sim;
-    ShardedSorter s(sharded_config(2), sim);
+    ShardedSorter<TagSorter> s(sharded_config(2), sim);
     for (std::uint64_t t = 0; t < 32; ++t) s.insert(t, static_cast<std::uint32_t>(t));
     EXPECT_TRUE(s.recover());
     for (std::uint64_t t = 0; t < 32; ++t) EXPECT_EQ(s.pop_min()->tag, t);
@@ -364,28 +383,42 @@ TEST(ShardedSorter, RecoverScrubsEveryBank) {
 
 // A scrub that rebuilds a bank can move that bank's head; recover() must
 // re-derive the head-merge state or the next pop serves a non-minimum
-// bank. Corrupt the tag of the minimum bank's head so the rebuild re-sorts
-// it to the back, shifting the global minimum to the *other* bank.
+// bank. Damage bank 1 beyond repair so its rebuild re-sorts the global
+// minimum (tag 3) away, shifting the global head to bank 0.
 TEST(ShardedSorter, RecoverRefreshesHeadMergeAfterRebuild) {
-    hw::Simulation sim;
-    ShardedSorter s(sharded_config(2), sim);
-    s.insert(2, 20);  // bank 0, local 1
-    s.insert(4, 40);  // bank 0, local 2
-    s.insert(1, 10);  // bank 1, local 0  <- global minimum
-    s.insert(3, 30);  // bank 1, local 1
-    ASSERT_EQ(s.peek_min()->tag, 1u);
+    for_each_bank_type([]<class Bank>() {
+        hw::Simulation sim;
+        auto s = make_sharded<Bank>(sharded_config(2), sim);
+        s.insert(4, 40);  // bank 0, local 2
+        s.insert(6, 60);  // bank 0, local 3
+        s.insert(3, 30);  // bank 1, local 1  <- global minimum
+        s.insert(5, 50);  // bank 1, local 2
+        ASSERT_EQ(s.peek_min()->tag, 3u);
 
-    auto& store = s.bank(1).store();
-    auto head = store.peek_slot(store.head_addr());
-    head.entry.tag = 100;  // local 100 = global 201, now bank 1's largest
-    store.poke_slot(store.head_addr(), head);
+        std::vector<std::uint64_t> expect;
+        if constexpr (std::is_same_v<Bank, TagSorter>) {
+            // Corrupt the head entry's tag: local 100 = global 201, now
+            // bank 1's largest.
+            auto& store = s.bank(1).store();
+            auto head = store.peek_slot(store.head_addr());
+            head.entry.tag = 100;
+            store.poke_slot(store.head_addr(), head);
+            expect = {4, 5, 6, 201};
+        } else {
+            // Splice the head node onto local 2's chain. Local 2's chain
+            // slot precedes local 1's, so the rebuild salvages the head
+            // node as a second local-2 entry and local 1 is gone.
+            s.bank(1).debug_node_next(s.bank(1).debug_chain_head(2)) =
+                s.bank(1).debug_chain_head(1);
+            expect = {4, 5, 5, 6};
+        }
 
-    EXPECT_TRUE(s.recover());
-    // Bank 1 rebuilt to {3, 201}; the global head must switch to bank 0.
-    EXPECT_EQ(s.peek_min()->tag, 2u);
-    const std::uint64_t expect[] = {2, 3, 4, 201};
-    for (const std::uint64_t t : expect) EXPECT_EQ(s.pop_min()->tag, t);
-    EXPECT_TRUE(s.empty());
+        EXPECT_TRUE(s.recover());
+        // Bank 1 rebuilt; the global head must switch to bank 0.
+        EXPECT_EQ(s.peek_min()->tag, 4u);
+        for (const std::uint64_t t : expect) EXPECT_EQ(s.pop_min()->tag, t);
+        EXPECT_TRUE(s.empty());
+    });
 }
 
 }  // namespace

@@ -20,7 +20,10 @@ Default mode checks (all on *modeled*, machine-independent metrics):
   4. the "host.ffs.speedup_vs_model" gauge, when present, must be at
      least --ffs-speedup-floor (default 3.0). Both backends are measured
      in the same process on the same stream, so the ratio is robust to
-     machine speed even though each side is wall-clock.
+     machine speed even though each side is wall-clock;
+  5. the "shard_scaling.scheduler_demo_packets" gauge, when committed,
+     must match exactly — the 4-bank WFQ demo is deterministic, and both
+     sorter backends must deliver the committed packet count.
 
 Optional per-backend absolute floors (machine-specific, off by default):
 --model-floor / --ffs-floor gate host.model.ops_per_sec and
@@ -234,6 +237,16 @@ def main():
             failures.append(f"{gate}: N=1 sharded run diverged from the bare sorter")
         else:
             print(f"  {gate}: 1 (N=1 bit/cycle identity holds)")
+
+    gate = "shard_scaling.scheduler_demo_packets"
+    if gate in committed:
+        checked += 1
+        now = fresh.get(gate)
+        if now != committed[gate]:
+            failures.append(f"{gate}: {now} != committed {committed[gate]:.0f} "
+                            "(the 4-bank scheduler demo delivered a different count)")
+        else:
+            print(f"  {gate}: {now:.0f} (exact match)")
 
     gate = "host.ffs.speedup_vs_model"
     if gate in fresh:

@@ -273,9 +273,9 @@ bool fuzz_sharded(const Options& opt, std::uint64_t round) {
         hw::Simulation probe_sim;
         const std::uint64_t bank_span =
             core::TagSorter(entry.config.bank, probe_sim).window_span();
+        // Every sequence runs on model and ffs banks alike.
         const CheckFn check = [&](const OpSeq& ops) {
-            return diff_sharded_sorter(ops, entry.config, entry.flow_mode, {},
-                                       entry.reshard);
+            return diff_sharded_row(ops, entry);
         };
         // Profiles scale to the *bank* span: safe under both policies (the
         // aggregate window is never narrower than one bank's). Every
@@ -387,8 +387,7 @@ int replay(const Options& opt) {
         }
     }
     for (const auto& entry : standard_sharded_configs()) {
-        if (auto err = diff_sharded_sorter(ops, entry.config, entry.flow_mode, {},
-                                           entry.reshard)) {
+        if (auto err = diff_sharded_row(ops, entry)) {
             std::printf("FAIL sharded-%s: %s\n", entry.name.c_str(), err->c_str());
             ok = false;
         }
