@@ -8,7 +8,12 @@
 // weight-normalised fairness. The shape from the paper: WFQ keeps VoIP
 // within the GPS bound; WRR/DRR give fair *bandwidth* but much weaker
 // delay; FIFO collapses entirely; MDRR protects VoIP only via strict
-// priority (no isolation between data flows).
+// priority (no isolation between data flows). MDRR and CBQ are
+// sched_prog::HierScheduler trees over DrrScheduler classes.
+//
+// Self-check: exits non-zero when a row loses packets (served + rejected
+// != offered) or an exact fair-queueing row (PIFO-wfq, PIFO-wf2q) leaves
+// the GPS one-packet bound.
 #include <cstdio>
 #include <memory>
 
@@ -19,8 +24,8 @@
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
+#include "sched_prog/hierarchy.hpp"
 #include "sched_prog/pifo_scheduler.hpp"
-#include "scheduler/cbq_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 #include "scheduler/round_robin.hpp"
 
@@ -38,6 +43,7 @@ struct Row {
     double worst_lag_ms;
     double within_bound;
     double jain;
+    bool conserved;  ///< served + rejected == offered
 };
 
 constexpr std::size_t kVoipFlows = 4;
@@ -61,8 +67,8 @@ std::vector<net::FlowSpec> make_workload(std::uint64_t seed_shift) {
     return flows;
 }
 
-Row evaluate(scheduler::Scheduler& sched, obs::MetricsRegistry& reg,
-             std::uint64_t seed_shift) {
+Row evaluate(scheduler::Scheduler& sched, const std::string& label,
+             obs::MetricsRegistry& reg, std::uint64_t seed_shift) {
     auto flows = make_workload(seed_shift);
     std::vector<std::uint32_t> weights;
     for (const auto& f : flows) weights.push_back(f.weight);
@@ -75,7 +81,7 @@ Row evaluate(scheduler::Scheduler& sched, obs::MetricsRegistry& reg,
     // Copy the boundary counters out — the scheduler dies with this scope,
     // so views would dangle; owned metrics snapshot the values instead.
     const auto& c = sched.counters();
-    const std::string base = "p2." + sched.name() + ".";
+    const std::string base = "p2." + label + ".";
     reg.counter(base + "offered_packets").inc(c.offered_packets);
     reg.counter(base + "rejected_packets").inc(c.rejected_packets);
     reg.counter(base + "served_packets").inc(c.served_packets);
@@ -92,9 +98,42 @@ Row evaluate(scheduler::Scheduler& sched, obs::MetricsRegistry& reg,
     auto service = analysis::normalized_service(result.records, weights, 0,
                                                 2 * kSecond);
     service.erase(service.begin(), service.begin() + kVoipFlows);
-    return Row{sched.name(), p99, worst, gps.worst_lag_s * 1e3,
+    return Row{label, p99, worst, gps.worst_lag_s * 1e3,
                gps.within_bound_fraction,
-               analysis::jain_fairness_index(service)};
+               analysis::jain_fairness_index(service),
+               c.served_packets + c.rejected_packets == c.offered_packets};
+}
+
+/// MDRR: flow 0 (one VoIP flow) in a strict-priority FIFO class over a
+/// DRR class holding the rest.
+sched_prog::HierScheduler make_mdrr() {
+    using Hier = sched_prog::HierScheduler;
+    Hier mdrr;
+    Hier::ClassConfig priority;
+    priority.priority = 0;
+    Hier::ClassConfig rest;
+    rest.priority = 1;
+    mdrr.add_class(priority, std::make_unique<scheduler::FifoScheduler>());
+    mdrr.add_class(rest, std::make_unique<scheduler::DrrScheduler>(1500));
+    mdrr.set_flow_router([](net::FlowId f, std::uint32_t) { return f == 0 ? 0u : 1u; });
+    return mdrr;
+}
+
+/// CBQ: a voice class (the VoIP flows) and a data class (the Pareto
+/// flows) sharing the link by DWRR, each a DRR over its members. A class
+/// quantum is 1500 B times the sum of its members' weights.
+sched_prog::HierScheduler make_cbq() {
+    using Hier = sched_prog::HierScheduler;
+    Hier cbq;
+    Hier::ClassConfig voice;
+    voice.quantum_bytes = 1500 * 8 * kVoipFlows;
+    Hier::ClassConfig data;
+    data.quantum_bytes = 1500 * 1 * kCrossFlows;
+    cbq.add_class(voice, std::make_unique<scheduler::DrrScheduler>(1500));
+    cbq.add_class(data, std::make_unique<scheduler::DrrScheduler>(1500));
+    cbq.set_flow_router(
+        [](net::FlowId f, std::uint32_t) { return f < kVoipFlows ? 0u : 1u; });
+    return cbq;
 }
 
 }  // namespace
@@ -125,7 +164,13 @@ int main(int argc, char** argv) {
     TextTable table({"scheduler", "VoIP p99 (us)", "VoIP max (us)",
                      "worst GPS lag (ms)", "within bound", "Jain idx"});
 
+    bool ok = true;
     auto add = [&](Row r) {
+        if (!r.conserved) {
+            std::fprintf(stderr, "FAIL: %s served + rejected != offered\n",
+                         r.name.c_str());
+            ok = false;
+        }
         table.add_row({r.name, TextTable::num(r.voip_p99_us, 0),
                        TextTable::num(r.voip_max_us, 0),
                        TextTable::num(r.worst_lag_ms, 2),
@@ -139,8 +184,8 @@ int main(int argc, char** argv) {
         reg.gauge(base + "jain_index").set(r.jain);
     };
 
-    for (const auto policy : {sched_prog::RankPolicy::kWfq, sched_prog::RankPolicy::kScfq,
-                              sched_prog::RankPolicy::kWf2q}) {
+    using sched_prog::RankPolicy;
+    for (const auto policy : {RankPolicy::kWfq, RankPolicy::kScfq, RankPolicy::kWf2q}) {
         sched_prog::PifoScheduler::Config cfg;
         cfg.policy = policy;
         cfg.rank.link_rate_bps = kRate;
@@ -149,31 +194,39 @@ int main(int argc, char** argv) {
             return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
                                              kSorterParams);
         });
-        add(evaluate(fq, reporter.registry(), kSeedShift));
+        const Row row = evaluate(fq, fq.name(), reporter.registry(), kSeedShift);
+        // WFQ and WF2Q+ are exact: every packet departs within one
+        // maximum-size packet time of its GPS finish.
+        if (policy != RankPolicy::kScfq && row.within_bound < 1.0) {
+            std::fprintf(stderr, "FAIL: %s within_bound_fraction %.3f < 1\n",
+                         row.name.c_str(), row.within_bound);
+            ok = false;
+        }
+        add(row);
     }
     {
         scheduler::WrrScheduler wrr;
-        add(evaluate(wrr, reporter.registry(), kSeedShift));
+        add(evaluate(wrr, wrr.name(), reporter.registry(), kSeedShift));
     }
     {
-        scheduler::CbqScheduler cbq;
-        add(evaluate(cbq, reporter.registry(), kSeedShift));
+        auto cbq = make_cbq();
+        add(evaluate(cbq, "CBQ", reporter.registry(), kSeedShift));
     }
     {
         scheduler::DrrScheduler drr;
-        add(evaluate(drr, reporter.registry(), kSeedShift));
+        add(evaluate(drr, drr.name(), reporter.registry(), kSeedShift));
     }
     {
-        scheduler::MdrrScheduler mdrr;  // flow 0 (one VoIP flow) is priority
-        add(evaluate(mdrr, reporter.registry(), kSeedShift));
+        auto mdrr = make_mdrr();
+        add(evaluate(mdrr, "MDRR", reporter.registry(), kSeedShift));
     }
     {
         scheduler::SrrScheduler srr;
-        add(evaluate(srr, reporter.registry(), kSeedShift));
+        add(evaluate(srr, srr.name(), reporter.registry(), kSeedShift));
     }
     {
         scheduler::FifoScheduler fifo;
-        add(evaluate(fifo, reporter.registry(), kSeedShift));
+        add(evaluate(fifo, fifo.name(), reporter.registry(), kSeedShift));
     }
 
     std::printf("%s\n", table.render().c_str());
@@ -181,5 +234,5 @@ int main(int argc, char** argv) {
     std::printf("the GPS ideal; round robin cannot bound delay for variable-size\n");
     std::printf("packets; FIFO offers no isolation at all.\n");
     reporter.finish();
-    return 0;
+    return ok ? 0 : 1;
 }

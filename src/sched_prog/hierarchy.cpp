@@ -55,27 +55,22 @@ bool HierScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
     return classes_[route.cls].child->enqueue(local, now);
 }
 
-std::optional<net::Packet> HierScheduler::do_dequeue(net::TimeNs now) {
+HierScheduler::Level* HierScheduler::backlogged_level() {
     // Strict priority between levels: the first (lowest-priority-number)
     // level with a backlogged class wins outright.
     for (auto& [priority, level] : levels_) {
         (void)priority;
-        bool backlogged = false;
         for (unsigned cls : level.classes)
-            backlogged = backlogged || classes_[cls].child->has_packets();
-        if (!backlogged) continue;
-        return level.sharing == Sharing::kDwrr ? dequeue_dwrr(level, now)
-                                               : dequeue_wfq(level, now);
+            if (classes_[cls].child->has_packets()) return &level;
     }
-    return std::nullopt;
+    return nullptr;
 }
 
-std::optional<net::Packet> HierScheduler::dequeue_dwrr(Level& level,
-                                                       net::TimeNs now) {
-    // Deficit round robin, one packet per call: the pointer stays on the
-    // serving class between calls until its deficit no longer covers the
-    // head-of-line packet. Children without peek_size get charged (and
-    // budgeted) one quantum per packet, degrading to plain WRR.
+HierScheduler::Choice HierScheduler::pick_dwrr(Level& level, net::TimeNs now) {
+    // Deficit round robin, one packet per dequeue: the pointer stays on
+    // the serving class between calls until its deficit no longer covers
+    // the head-of-line packet. Children without peek_size get charged
+    // (and budgeted) one quantum per packet, degrading to plain WRR.
     std::uint64_t min_quantum = std::numeric_limits<std::uint64_t>::max();
     for (unsigned cls : level.classes)
         min_quantum = std::min<std::uint64_t>(
@@ -86,7 +81,8 @@ std::optional<net::Packet> HierScheduler::dequeue_dwrr(Level& level,
     std::size_t safety =
         level.classes.size() * (2 + (std::size_t{64} << 10) / min_quantum);
     while (safety-- > 0) {
-        ClassState& state = classes_[level.classes[level.cursor]];
+        const unsigned cls = level.classes[level.cursor];
+        ClassState& state = classes_[cls];
         if (!state.child->has_packets()) {
             state.deficit = 0;
             state.fresh = true;
@@ -98,55 +94,71 @@ std::optional<net::Packet> HierScheduler::dequeue_dwrr(Level& level,
             state.fresh = false;
         }
         const std::optional<std::uint32_t> head = state.child->peek_size(now);
-        const std::uint64_t cost = head ? *head : state.config.quantum_bytes;
-        if (cost <= state.deficit) {
-            std::optional<net::Packet> pkt = state.child->dequeue(now);
-            WFQS_REQUIRE(pkt.has_value(),
-                         "backlogged hierarchy child refused to dequeue");
-            state.deficit -= head ? pkt->size_bytes : cost;
-            return translate_back(level.classes[level.cursor], *pkt);
-        }
+        if (head.value_or(state.config.quantum_bytes) <= state.deficit)
+            return Choice{cls, head};
         state.fresh = true;
         level.cursor = (level.cursor + 1) % level.classes.size();
     }
     WFQS_REQUIRE(false, "DWRR failed to pick a class from a backlogged level");
-    return std::nullopt;
+    return {};
 }
 
-std::optional<net::Packet> HierScheduler::dequeue_wfq(Level& level,
-                                                      net::TimeNs now) {
+HierScheduler::Choice HierScheduler::pick_wfq(Level& level, net::TimeNs now) {
     // Self-clocked class-level WFQ (SCFQ): pick the backlogged class with
     // the smallest candidate finish tag start + size*scale/weight where
-    // start = max(class finish, level virtual time); the served tag
-    // becomes the new virtual time.
-    unsigned best_cls = 0;
+    // start = max(class finish, level virtual time).
+    Choice best{};
     std::uint64_t best_finish = 0;
     bool found = false;
     for (unsigned cls : level.classes) {
         ClassState& state = classes_[cls];
         if (!state.child->has_packets()) continue;
         const std::optional<std::uint32_t> head = state.child->peek_size(now);
-        const std::uint64_t bytes = head ? *head : kMtuFallbackBytes;
         const std::uint64_t start = std::max(state.finish, level.virtual_time);
         const std::uint64_t finish =
-            start + bytes * kWfqScale / state.config.weight;
+            start + head.value_or(kMtuFallbackBytes) * kWfqScale / state.config.weight;
         if (!found || finish < best_finish) {
             found = true;
-            best_cls = cls;
+            best = Choice{cls, head};
             best_finish = finish;
         }
     }
-    if (!found) return std::nullopt;
-    ClassState& state = classes_[best_cls];
+    WFQS_REQUIRE(found, "class WFQ found no class in a backlogged level");
+    return best;
+}
+
+HierScheduler::Choice HierScheduler::pick(Level& level, net::TimeNs now) {
+    return level.sharing == Sharing::kDwrr ? pick_dwrr(level, now)
+                                           : pick_wfq(level, now);
+}
+
+std::optional<std::uint32_t> HierScheduler::peek_size(net::TimeNs now) {
+    // Exact: the pick is the one do_dequeue(now) makes, and picking again
+    // after a pick returns the same class.
+    Level* level = backlogged_level();
+    if (level == nullptr) return std::nullopt;
+    return pick(*level, now).head;
+}
+
+std::optional<net::Packet> HierScheduler::do_dequeue(net::TimeNs now) {
+    Level* level = backlogged_level();
+    if (level == nullptr) return std::nullopt;
+    const Choice choice = pick(*level, now);
+    ClassState& state = classes_[choice.cls];
     std::optional<net::Packet> pkt = state.child->dequeue(now);
     WFQS_REQUIRE(pkt.has_value(),
                  "backlogged hierarchy child refused to dequeue");
-    // Recompute with the actual size in case the child could not peek.
-    const std::uint64_t start = std::max(state.finish, level.virtual_time);
-    state.finish = start + std::uint64_t{pkt->size_bytes} * kWfqScale /
-                               state.config.weight;
-    level.virtual_time = state.finish;
-    return translate_back(best_cls, *pkt);
+    if (level->sharing == Sharing::kDwrr) {
+        state.deficit -= choice.head ? pkt->size_bytes : state.config.quantum_bytes;
+    } else {
+        // Charge the actual size in case the child could not peek; the
+        // served tag becomes the level's virtual time.
+        const std::uint64_t start = std::max(state.finish, level->virtual_time);
+        state.finish = start + std::uint64_t{pkt->size_bytes} * kWfqScale /
+                                   state.config.weight;
+        level->virtual_time = state.finish;
+    }
+    return translate_back(choice.cls, *pkt);
 }
 
 net::Packet HierScheduler::translate_back(unsigned cls,
@@ -180,27 +192,6 @@ std::string HierScheduler::name() const {
         out += classes_[i].child->name();
     }
     return out + ")";
-}
-
-std::optional<std::uint32_t> HierScheduler::peek_size(net::TimeNs now) {
-    // Cheap conservative peek: the head of the first backlogged level's
-    // first backlogged class is not always the packet dequeue would pick
-    // (DWRR/WFQ may choose a sibling), so only answer when unambiguous.
-    for (auto& [priority, level] : levels_) {
-        (void)priority;
-        unsigned backlogged_cls = 0;
-        int backlogged = 0;
-        for (unsigned cls : level.classes) {
-            if (classes_[cls].child->has_packets()) {
-                backlogged_cls = cls;
-                ++backlogged;
-            }
-        }
-        if (backlogged == 0) continue;
-        if (backlogged > 1) return std::nullopt;
-        return classes_[backlogged_cls].child->peek_size(now);
-    }
-    return std::nullopt;
 }
 
 }  // namespace wfqs::sched_prog

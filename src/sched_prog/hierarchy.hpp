@@ -14,10 +14,17 @@
 //   * DWRR classes: one level whose classes share by deficit round
 //     robin, quantum per class.
 //
+// The round-robin hierarchies of §I-B are trees of this shape over
+// scheduler::DrrScheduler children: MDRR is a priority-0 FIFO class (the
+// low-latency queue) over a priority-1 DRR class, and CBQ ("a
+// hierarchical approach to DRR") is one DWRR level of DRR classes.
+//
 // The parent needs head-of-line sizes to budget deficits and compute
 // class finish tags — Scheduler::peek_size. Children that cannot peek
 // degrade gracefully to one-packet-per-visit (WRR) within DWRR levels
-// and to an MTU estimate within WFQ levels.
+// and to an MTU estimate within WFQ levels. This scheduler's own
+// peek_size is exact, so a HierScheduler nests as a byte-charged class
+// of another.
 //
 // Flow routing: flows registered through the driver-facing add_flow are
 // assigned to classes by a configurable router (default: round robin
@@ -75,10 +82,6 @@ public:
     std::string name() const override;
     std::optional<std::uint32_t> peek_size(net::TimeNs now) override;
 
-    const scheduler::Scheduler& child(unsigned cls) const {
-        return *classes_.at(cls).child;
-    }
-
 private:
     struct ClassState {
         ClassConfig config;
@@ -99,8 +102,18 @@ private:
     static constexpr std::uint64_t kWfqScale = 256;
     static constexpr std::uint32_t kMtuFallbackBytes = 1500;
 
-    std::optional<net::Packet> dequeue_dwrr(Level& level, net::TimeNs now);
-    std::optional<net::Packet> dequeue_wfq(Level& level, net::TimeNs now);
+    /// The class a level serves next and its child's head size (nullopt
+    /// when the child cannot peek). Picking may advance the DWRR cursor
+    /// and bank deficits, but picking again before the dequeue returns
+    /// the same class: peek_size and do_dequeue share this step.
+    struct Choice {
+        unsigned cls = 0;
+        std::optional<std::uint32_t> head;
+    };
+    Level* backlogged_level();
+    Choice pick(Level& level, net::TimeNs now);
+    Choice pick_dwrr(Level& level, net::TimeNs now);
+    Choice pick_wfq(Level& level, net::TimeNs now);
     net::Packet translate_back(unsigned cls, net::Packet packet) const;
 
     std::vector<ClassState> classes_;

@@ -51,7 +51,6 @@ public:
 
     std::uint64_t push_ups() const { return push_ups_; }
     std::uint64_t push_downs() const { return push_downs_; }
-    std::uint64_t drops() const { return buffer_.drops(); }
 
 private:
     struct Entry {

@@ -24,7 +24,6 @@ public:
         if (q_.empty()) return std::nullopt;
         return buffer_.peek(q_.front()).size_bytes;
     }
-    std::uint64_t drops() const { return buffer_.drops(); }
 
 private:
     SharedPacketBuffer buffer_;

@@ -83,7 +83,7 @@ void DrrScheduler::on_backlogged(net::FlowId f) {
     }
 }
 
-std::optional<net::Packet> DrrScheduler::do_dequeue(net::TimeNs /*now*/) {
+std::optional<net::FlowId> DrrScheduler::select() {
     while (!active_.empty()) {
         const net::FlowId f = active_.front();
         if (flows_[f].q.empty()) {
@@ -98,11 +98,7 @@ std::optional<net::Packet> DrrScheduler::do_dequeue(net::TimeNs /*now*/) {
             deficit_[f] += std::uint64_t{quantum_} * flows_[f].weight;
             fresh_turn_[f] = false;
         }
-        const std::uint32_t head = head_bytes(f);
-        if (deficit_[f] >= head) {
-            deficit_[f] -= head;
-            return serve_head(f);
-        }
+        if (deficit_[f] >= head_bytes(f)) return f;
         // Deficit exhausted: rotate to the back, keep the remainder.
         fresh_turn_[f] = true;
         active_.pop_front();
@@ -111,57 +107,17 @@ std::optional<net::Packet> DrrScheduler::do_dequeue(net::TimeNs /*now*/) {
     return std::nullopt;
 }
 
-// ------------------------------------------------------------------ MDRR
-
-MdrrScheduler::MdrrScheduler(std::uint32_t quantum_bytes,
-                             const SharedPacketBuffer::Config& buffer)
-    : PerFlowScheduler(buffer), quantum_(quantum_bytes) {
-    WFQS_REQUIRE(quantum_bytes > 0, "MDRR quantum must be positive");
+std::optional<std::uint32_t> DrrScheduler::peek_size(net::TimeNs /*now*/) {
+    const std::optional<net::FlowId> f = select();
+    if (!f) return std::nullopt;
+    return head_bytes(*f);
 }
 
-void MdrrScheduler::set_priority_flow(net::FlowId f) {
-    WFQS_REQUIRE(f < flows_.size(), "unknown flow");
-    priority_flow_ = f;
-}
-
-void MdrrScheduler::on_backlogged(net::FlowId f) {
-    deficit_.resize(flows_.size(), 0);
-    in_active_.resize(flows_.size(), false);
-    fresh_turn_.resize(flows_.size(), true);
-    if (f != priority_flow_ && !in_active_[f]) {
-        in_active_[f] = true;
-        fresh_turn_[f] = true;
-        active_.push_back(f);
-    }
-}
-
-std::optional<net::Packet> MdrrScheduler::do_dequeue(net::TimeNs /*now*/) {
-    // Strict-priority low-latency queue first (the Cisco VoIP queue).
-    if (priority_flow_ < flows_.size() && !flows_[priority_flow_].q.empty())
-        return serve_head(priority_flow_);
-    while (!active_.empty()) {
-        const net::FlowId f = active_.front();
-        if (flows_[f].q.empty()) {
-            deficit_[f] = 0;
-            in_active_[f] = false;
-            fresh_turn_[f] = true;
-            active_.pop_front();
-            continue;
-        }
-        if (fresh_turn_[f]) {
-            deficit_[f] += std::uint64_t{quantum_} * flows_[f].weight;
-            fresh_turn_[f] = false;
-        }
-        const std::uint32_t head = head_bytes(f);
-        if (deficit_[f] >= head) {
-            deficit_[f] -= head;
-            return serve_head(f);
-        }
-        fresh_turn_[f] = true;
-        active_.pop_front();
-        active_.push_back(f);
-    }
-    return std::nullopt;
+std::optional<net::Packet> DrrScheduler::do_dequeue(net::TimeNs /*now*/) {
+    const std::optional<net::FlowId> f = select();
+    if (!f) return std::nullopt;
+    deficit_[*f] -= head_bytes(*f);
+    return serve_head(*f);
 }
 
 // ------------------------------------------------------------------- SRR

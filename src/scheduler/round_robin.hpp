@@ -4,8 +4,6 @@
 //   WRR  — weighted round robin [2]: per-round packet credits equal to
 //          the flow weight (assumes known/uniform packet sizes).
 //   DRR  — deficit round robin [3]: byte-accurate quanta, O(1) work.
-//   MDRR — modified DRR: one strict-priority low-latency queue in front
-//          of DRR for the rest (the Cisco VoIP arrangement §I-B cites).
 //   SRR  — stratified round robin [11]: flows grouped into weight classes
 //          (strata); deficit scheduling across classes, plain round robin
 //          within one — reproducing the aggregation granularity the paper
@@ -13,7 +11,12 @@
 //          limited").
 //
 // All share the per-flow FIFO + shared-buffer machinery so drop behaviour
-// is comparable with the fair-queueing scheduler.
+// is comparable with the fair-queueing scheduler. The hierarchical
+// round-robin variants of §I-B are sched_prog::HierScheduler trees over
+// these: MDRR (the Cisco VoIP arrangement: one strict-priority
+// low-latency queue in front of DRR) is a priority-0 FIFO class over a
+// DRR class, and CBQ ("a hierarchical approach to DRR") is a DWRR level
+// whose classes are DRR schedulers.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +38,6 @@ public:
     bool has_packets() const override { return queued_ > 0; }
     std::size_t queued_packets() const override { return queued_; }
 
-    const SharedPacketBuffer& buffer() const { return buffer_; }
-    std::uint64_t drops() const { return buffer_.drops(); }
 
 protected:
     struct Flow {
@@ -75,35 +76,20 @@ public:
                           const SharedPacketBuffer::Config& buffer = {});
     std::optional<net::Packet> do_dequeue(net::TimeNs now) override;
     std::string name() const override { return "DRR"; }
+    /// Exact: the head of the flow do_dequeue(now) would serve.
+    std::optional<std::uint32_t> peek_size(net::TimeNs now) override;
 
 protected:
     void on_backlogged(net::FlowId f) override;
 
 private:
-    std::uint32_t quantum_;
-    std::vector<std::uint64_t> deficit_;
-    std::vector<bool> in_active_;
-    std::vector<bool> fresh_turn_;
-    std::deque<net::FlowId> active_;
-};
+    /// Rotate the active ring until its front flow's deficit covers that
+    /// flow's head packet; returns the flow, or nullopt when idle. The
+    /// step peek_size and do_dequeue share: once it stops, calling it
+    /// again changes nothing, so a peek sizes exactly the packet the next
+    /// dequeue serves.
+    std::optional<net::FlowId> select();
 
-class MdrrScheduler final : public PerFlowScheduler {
-public:
-    explicit MdrrScheduler(std::uint32_t quantum_bytes = 1500,
-                           const SharedPacketBuffer::Config& buffer = {});
-
-    /// The first added flow is the strict-priority (low-latency) queue by
-    /// default; override with this.
-    void set_priority_flow(net::FlowId f);
-
-    std::optional<net::Packet> do_dequeue(net::TimeNs now) override;
-    std::string name() const override { return "MDRR"; }
-
-protected:
-    void on_backlogged(net::FlowId f) override;
-
-private:
-    net::FlowId priority_flow_ = 0;
     std::uint32_t quantum_;
     std::vector<std::uint64_t> deficit_;
     std::vector<bool> in_active_;
@@ -118,8 +104,6 @@ public:
     net::FlowId add_flow(std::uint32_t weight) override;
     std::optional<net::Packet> do_dequeue(net::TimeNs now) override;
     std::string name() const override { return "SRR"; }
-
-    std::size_t stratum_count() const { return strata_.size(); }
 
 protected:
     void on_backlogged(net::FlowId f) override;

@@ -8,8 +8,8 @@
 //     time of the fluid ideal), while FIFO violates it badly.
 //  3. WFQ bandwidth shares track weights through overload (Jain index).
 //  4. Binning as the sort structure degrades QoS (the §II-B argument).
-//  5. The fair-queueing rank policies reproduce pinned departure
-//     fingerprints, schedule for schedule.
+//  5. The fair-queueing rank policies and the MDRR hierarchy reproduce
+//     pinned departure fingerprints, schedule for schedule.
 #include <gtest/gtest.h>
 
 #include "analysis/delay_stats.hpp"
@@ -18,6 +18,7 @@
 #include "baselines/factory.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
+#include "sched_prog/hierarchy.hpp"
 #include "sched_prog/pifo_scheduler.hpp"
 #include "scheduler/fifo.hpp"
 #include "scheduler/round_robin.hpp"
@@ -222,8 +223,8 @@ TEST(Integration, FairQueueingPoliciesReproducePinnedDepartures) {
     // Recorded from the dedicated fair-queueing schedulers these rank
     // policies replaced (tag computers behind one sorter for WFQ, SCFQ
     // and FBFQ; a two-sorter promotion loop for WF2Q) on the
-    // qos_comparison workload and Trace.ReplayDrivesIdenticalSchedule's
-    // mixed profile, 20 Mb/s, tag step -6. Both sorter backends recorded
+    // qos_comparison workload and a 0.2 s make_mixed_profile (seed 13),
+    // 20 Mb/s, tag step -6. Both sorter backends recorded
     // the same value for every case.
     using sched_prog::RankPolicy;
     struct Case {
@@ -258,6 +259,37 @@ TEST(Integration, FairQueueingPoliciesReproducePinnedDepartures) {
             EXPECT_EQ(departure_fingerprint(result), c.fingerprint);
         }
     }
+}
+
+TEST(Integration, MdrrCompositionReproducesPinnedDepartures) {
+    // MDRR as a tree: flow 0 in a strict-priority FIFO class over a DRR
+    // class for the rest. The fingerprint was recorded from the dedicated
+    // MDRR scheduler the tree replaced (one shared 4 MiB buffer, flow 0
+    // the priority queue). The workload overloads a 10 Mb/s link by about
+    // 2 Mb/s for 0.5 s with mixed sizes and weights, but the backlog stays
+    // far below either class's 4 MiB buffer: nothing is dropped, so the
+    // split buffers cannot change the schedule.
+    using Hier = sched_prog::HierScheduler;
+    Hier mdrr;
+    Hier::ClassConfig priority;
+    priority.priority = 0;
+    Hier::ClassConfig rest;
+    rest.priority = 1;
+    mdrr.add_class(priority, std::make_unique<scheduler::FifoScheduler>());
+    mdrr.add_class(rest, std::make_unique<scheduler::DrrScheduler>(1500));
+    mdrr.set_flow_router([](net::FlowId f, std::uint32_t) { return f == 0 ? 0u : 1u; });
+
+    const net::TimeNs end = kSecond / 2;
+    std::vector<net::FlowSpec> flows;
+    flows.push_back({std::make_unique<net::VoipSource>(end, 5), 1});
+    flows.push_back({std::make_unique<net::CbrSource>(4'000'000, 1500, 0, end), 3});
+    flows.push_back({std::make_unique<net::PoissonSource>(800.0, 64, 1500, end, 11), 1});
+    flows.push_back({std::make_unique<net::CbrSource>(3'000'000, 300, 0, end), 2});
+    net::SimDriver driver(10'000'000);
+    const auto result = driver.run(mdrr, flows);
+    EXPECT_EQ(result.dropped_packets, 0u);
+    EXPECT_EQ(result.records.size(), 1212u);
+    EXPECT_EQ(departure_fingerprint(result), 0xd7f905bf08d6f154ULL);
 }
 
 }  // namespace

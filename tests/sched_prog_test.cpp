@@ -3,7 +3,9 @@
 //   * rank-function units — determinism across independent instances
 //     (the property the whole oracle scheme rests on), policy shapes;
 //   * PifoScheduler / SpPifoScheduler / RifoScheduler behaviour;
-//   * hierarchical composition (strict priority over DWRR / class WFQ);
+//   * hierarchical composition (strict priority over DWRR / class WFQ),
+//     including CBQ and MDRR as HierScheduler trees over DRR classes and
+//     byte-exact peeks through nested levels;
 //   * the rank-oracle lockstep differ across every row of
 //     standard_policy_configs() — every exact policy on both sorter
 //     backends and the approximations against their mirrors;
@@ -17,6 +19,8 @@
 #include <set>
 
 #include "fault/errors.hpp"
+#include "net/sim_driver.hpp"
+#include "net/traffic_gen.hpp"
 #include "proptest/differ.hpp"
 #include "proptest/proptest.hpp"
 #include "ref/ref_rank_oracle.hpp"
@@ -25,6 +29,7 @@
 #include "sched_prog/rifo.hpp"
 #include "sched_prog/sp_pifo.hpp"
 #include "scheduler/fifo.hpp"
+#include "scheduler/round_robin.hpp"
 
 #ifndef WFQS_CORPUS_DIR
 #error "WFQS_CORPUS_DIR must point at tests/corpus"
@@ -38,6 +43,8 @@ using proptest::OpKind;
 using proptest::OpSeq;
 using sched_prog::RankConfig;
 using sched_prog::RankPolicy;
+
+constexpr net::TimeNs kSecond = 1'000'000'000;
 
 net::Packet make_packet(std::uint64_t id, net::FlowId flow,
                         std::uint32_t bytes, net::TimeNs now) {
@@ -462,6 +469,231 @@ TEST(HierScheduler, RoutedAddFlowRoundRobinsOverClasses) {
     ASSERT_TRUE(pkt.has_value());
     EXPECT_EQ(pkt->flow, f2);
     (void)c0;
+}
+
+using Hier = sched_prog::HierScheduler;
+
+/// A DWRR class of quantum `quantum_bytes` at priority `priority`.
+Hier::ClassConfig dwrr_class(std::uint32_t quantum_bytes, unsigned priority = 1) {
+    Hier::ClassConfig c;
+    c.priority = priority;
+    c.quantum_bytes = quantum_bytes;
+    return c;
+}
+
+std::unique_ptr<scheduler::Scheduler> make_drr_child(
+    const scheduler::SharedPacketBuffer::Config& buffer = {}) {
+    return std::make_unique<scheduler::DrrScheduler>(1500, buffer);
+}
+
+/// Serve `packets` from a permanently backlogged `sched` at time 0,
+/// checking every peek against the packet served; returns bytes per
+/// global flow.
+std::vector<std::uint64_t> serve_window(scheduler::Scheduler& sched,
+                                        std::size_t flows, int packets) {
+    std::vector<std::uint64_t> bytes(flows, 0);
+    for (int i = 0; i < packets; ++i) {
+        const auto head = sched.peek_size(0);
+        const auto pkt = sched.dequeue(0);
+        if (!pkt) {
+            ADD_FAILURE() << "no packet at step " << i;
+            break;
+        }
+        EXPECT_EQ(head, pkt->size_bytes) << "step " << i;
+        bytes[pkt->flow] += pkt->size_bytes;
+    }
+    return bytes;
+}
+
+double ratio(std::uint64_t a, std::uint64_t b) {
+    return static_cast<double>(a) / static_cast<double>(b);
+}
+
+TEST(HierScheduler, ClassSharesAreByteFairWithUnequalSizes) {
+    // Equal-quantum DWRR classes over DRR children, 1000 B against 250 B
+    // packets: the children's exact peek lets the level charge bytes, so
+    // the classes split the link 1:1 in bytes, not 4:1.
+    Hier hier;
+    const unsigned big = hier.add_class(dwrr_class(1500), make_drr_child());
+    const unsigned small = hier.add_class(dwrr_class(1500), make_drr_child());
+    const auto big_flow = hier.add_flow_in_class(big, 1);
+    const auto small_flow = hier.add_flow_in_class(small, 1);
+    std::uint64_t id = 1;
+    for (int i = 0; i < 2000; ++i) {
+        ASSERT_TRUE(hier.enqueue(make_packet(id++, big_flow, 1000, 0), 0));
+        for (int k = 0; k < 4; ++k)
+            ASSERT_TRUE(hier.enqueue(make_packet(id++, small_flow, 250, 0), 0));
+    }
+    const auto bytes = serve_window(hier, 2, 3000);
+    EXPECT_NEAR(ratio(bytes[big_flow], bytes[small_flow]), 1.0, 0.05)
+        << bytes[big_flow] << " vs " << bytes[small_flow];
+}
+
+TEST(HierScheduler, NestedHierarchyIsChargedInBytes) {
+    // A two-class DWRR hierarchy (1000 B packets) is one class of an
+    // outer DWRR level, next to a DRR class with 250 B packets. The inner
+    // level's peek names the packet its dequeue serves, so the outer
+    // level charges bytes and the two outer classes get equal bytes.
+    auto inner = std::make_unique<Hier>();
+    inner->add_class(dwrr_class(1500), make_fifo_child());
+    inner->add_class(dwrr_class(1500), make_fifo_child());
+    Hier outer;
+    const unsigned nested = outer.add_class(dwrr_class(1500), std::move(inner));
+    const unsigned drr = outer.add_class(dwrr_class(1500), make_drr_child());
+    const auto a = outer.add_flow_in_class(nested, 1);  // inner class 0
+    const auto b = outer.add_flow_in_class(nested, 1);  // inner class 1
+    const auto c = outer.add_flow_in_class(drr, 1);
+    std::uint64_t id = 1;
+    for (int i = 0; i < 2000; ++i) {
+        ASSERT_TRUE(outer.enqueue(make_packet(id++, a, 1000, 0), 0));
+        ASSERT_TRUE(outer.enqueue(make_packet(id++, b, 1000, 0), 0));
+        for (int k = 0; k < 8; ++k)
+            ASSERT_TRUE(outer.enqueue(make_packet(id++, c, 250, 0), 0));
+    }
+    const auto bytes = serve_window(outer, 3, 4000);
+    EXPECT_NEAR(ratio(bytes[a] + bytes[b], bytes[c]), 1.0, 0.05)
+        << bytes[a] + bytes[b] << " vs " << bytes[c];
+    EXPECT_NEAR(ratio(bytes[a], bytes[b]), 1.0, 0.05);
+}
+
+// CBQ (§I-B: "a hierarchical approach to DRR") is a DWRR level of DRR
+// classes: class shares first, member-flow weights inside a class. A
+// class quantum of 1500 B x class weight gives the class split.
+
+TEST(Cbq, BasicServeDrain) {
+    Hier cbq;
+    cbq.add_class(dwrr_class(1500), make_drr_child());
+    const auto f = cbq.add_flow(1);
+    cbq.enqueue({1, f, 100, 0}, 0);
+    cbq.enqueue({2, f, 100, 0}, 0);
+    EXPECT_EQ(cbq.queued_packets(), 2u);
+    EXPECT_EQ(cbq.dequeue(0)->id, 1u);
+    EXPECT_EQ(cbq.dequeue(0)->id, 2u);
+    EXPECT_FALSE(cbq.dequeue(0).has_value());
+    EXPECT_FALSE(cbq.has_packets());
+}
+
+TEST(Cbq, ClassSharesSplitTheLink) {
+    // Class A (weight 3) holds two equal flows; class B (weight 1) holds
+    // one. Expect A:B = 3:1 and the two A flows equal.
+    Hier cbq;
+    const auto ca = cbq.add_class(dwrr_class(1500 * 3), make_drr_child());
+    const auto cb = cbq.add_class(dwrr_class(1500 * 1), make_drr_child());
+    cbq.add_flow_in_class(ca, 1);
+    cbq.add_flow_in_class(ca, 1);
+    cbq.add_flow_in_class(cb, 1);
+
+    // Flows are registered above (the SimDriver would re-register them),
+    // so drive the event loop by hand.
+    net::TimeNs t = 0;
+    std::uint64_t id = 0;
+    std::vector<std::uint64_t> bytes(3, 0);
+    net::TimeNs link_free = 0;
+    for (int step = 0; step < 30000; ++step) {
+        t += 200'000;  // 0.2 ms: 3x500B offered per flow-interval vs link
+        for (net::FlowId f = 0; f < 3; ++f)
+            cbq.enqueue({id++, f, 500, t}, t);
+        while (link_free <= t && cbq.has_packets()) {
+            const auto pkt = cbq.dequeue(std::max(t, link_free));
+            if (!pkt) break;
+            bytes[pkt->flow] += pkt->size_bytes;
+            link_free = std::max(t, link_free) +
+                        net::transmission_ns(pkt->size_bytes, 10'000'000);
+        }
+        if (cbq.queued_packets() > 3000) break;  // bounded memory for the test
+    }
+    EXPECT_NEAR(ratio(bytes[0] + bytes[1], bytes[2]), 3.0, 0.3);
+    EXPECT_NEAR(ratio(bytes[0], bytes[1]), 1.0, 0.1);
+}
+
+TEST(Cbq, FlowWeightsSplitWithinClass) {
+    // Both member flows fully backlogged: serve a window and compare
+    // shares (weights only bind while a flow stays backlogged).
+    Hier cbq;
+    const auto c = cbq.add_class(dwrr_class(1500), make_drr_child());
+    cbq.add_flow_in_class(c, 3);
+    cbq.add_flow_in_class(c, 1);
+    std::uint64_t id = 0;
+    for (int i = 0; i < 3000; ++i) {
+        cbq.enqueue({id++, 0, 400, 0}, 0);
+        cbq.enqueue({id++, 1, 400, 0}, 0);
+    }
+    const auto bytes = serve_window(cbq, 2, 3000);
+    EXPECT_NEAR(ratio(bytes[0], bytes[1]), 3.0, 0.3);
+}
+
+TEST(Cbq, DegenerateClassesMatchDrr) {
+    // One flow per class with the class carrying the weight shares the
+    // link like plain DRR with those weights. The default router puts
+    // driver flow i in class i.
+    auto run = [](scheduler::Scheduler& sched) {
+        std::vector<net::FlowSpec> flows;
+        flows.push_back(
+            {std::make_unique<net::CbrSource>(20'000'000, 600, 0, kSecond / 8), 3});
+        flows.push_back(
+            {std::make_unique<net::CbrSource>(20'000'000, 600, 0, kSecond / 8), 1});
+        net::SimDriver driver(10'000'000);
+        const auto result = driver.run(sched, flows);
+        // Count only while both flows are surely backlogged.
+        std::vector<std::uint64_t> bytes(2, 0);
+        const std::size_t cutoff = result.records.size() * 4 / 10;
+        for (std::size_t i = 0; i < cutoff; ++i)
+            bytes[result.records[i].packet.flow] += result.records[i].packet.size_bytes;
+        return ratio(bytes[0], bytes[1]);
+    };
+    Hier cbq;
+    cbq.add_class(dwrr_class(1500 * 3), make_drr_child());
+    cbq.add_class(dwrr_class(1500 * 1), make_drr_child());
+    scheduler::DrrScheduler drr;
+    EXPECT_NEAR(run(cbq), run(drr), 0.25);
+}
+
+TEST(Cbq, RejectsBadConfiguration) {
+    Hier cbq;
+    EXPECT_THROW(cbq.add_class(dwrr_class(0), make_drr_child()), std::invalid_argument);
+    EXPECT_THROW(cbq.add_class(dwrr_class(1500), nullptr), std::invalid_argument);
+    EXPECT_THROW(cbq.add_flow_in_class(99, 1), std::invalid_argument);
+    const auto c = cbq.add_class(dwrr_class(1500), make_drr_child());
+    EXPECT_THROW(cbq.add_flow_in_class(c, 0), std::invalid_argument);
+    EXPECT_THROW(scheduler::DrrScheduler(0), std::invalid_argument);
+}
+
+TEST(Cbq, DropsWhenBufferFull) {
+    Hier cbq;
+    cbq.add_class(dwrr_class(1500), make_drr_child({1024, 64}));
+    const auto f = cbq.add_flow(1);
+    std::uint64_t accepted = 0;
+    for (int i = 0; i < 100; ++i)
+        if (cbq.enqueue({static_cast<std::uint64_t>(i), f, 640, 0}, 0)) ++accepted;
+    EXPECT_LT(accepted, 100u);
+    EXPECT_EQ(cbq.counters().rejected_packets, 100u - accepted);
+}
+
+// MDRR (the Cisco VoIP arrangement §I-B cites) is a strict-priority FIFO
+// class over a DRR class.
+
+TEST(Mdrr, PriorityFlowGetsLowDelay) {
+    Hier mdrr;
+    mdrr.add_class(dwrr_class(3000, 0), make_fifo_child());
+    mdrr.add_class(dwrr_class(3000, 1), make_drr_child());
+    mdrr.set_flow_router([](net::FlowId f, std::uint32_t) { return f == 0 ? 0u : 1u; });
+    std::vector<net::FlowSpec> flows;
+    flows.push_back({std::make_unique<net::VoipSource>(kSecond, 5), 1});  // priority
+    flows.push_back(
+        {std::make_unique<net::CbrSource>(20'000'000, 1500, 0, kSecond), 1});
+    net::SimDriver driver(10'000'000);
+    const auto result = driver.run(mdrr, flows);
+    // Every VoIP packet should depart within (its own + one blocking
+    // packet's) transmission time of arrival.
+    const net::TimeNs bound =
+        net::transmission_ns(200, 10'000'000) + net::transmission_ns(1500, 10'000'000);
+    std::size_t voip = 0;
+    for (const auto& r : result.records) {
+        if (r.packet.flow != 0) continue;
+        ++voip;
+        EXPECT_LE(r.delay_ns(), bound) << "VoIP packet " << r.packet.id;
+    }
+    EXPECT_GT(voip, 0u);
 }
 
 // --------------------------------- rank-oracle lockstep differ sweep

@@ -1,6 +1,7 @@
 // Tests for the scheduler module: the shared packet buffer, the WRR/DRR/
-// MDRR/SRR family's bandwidth shares, FIFO, and the fair-queueing
-// scheduler's structural behaviour.
+// SRR family's bandwidth shares, FIFO, and the fair-queueing scheduler's
+// structural behaviour. MDRR and CBQ are hierarchies over DRR; their
+// tests live with HierScheduler in sched_prog_test.cpp.
 #include <gtest/gtest.h>
 
 #include "baselines/factory.hpp"
@@ -123,24 +124,28 @@ TEST(Drr, QuantumCarriesAcrossRounds) {
     EXPECT_NEAR(static_cast<double>(s.bytes0) / s.bytes1, 1.0, 0.15);
 }
 
-// -------------------------------------------------------------- MDRR
-
-TEST(Mdrr, PriorityFlowGetsLowDelay) {
-    MdrrScheduler mdrr;
-    std::vector<net::FlowSpec> flows;
-    flows.push_back({std::make_unique<net::VoipSource>(kSecond, 5), 1});  // priority
-    flows.push_back(
-        {std::make_unique<net::CbrSource>(20'000'000, 1500, 0, kSecond), 1});
-    net::SimDriver driver(10'000'000);
-    const auto result = driver.run(mdrr, flows);
-    // Every VoIP packet should depart within (its own + one blocking
-    // packet's) transmission time of arrival.
-    const net::TimeNs bound =
-        net::transmission_ns(200, 10'000'000) + net::transmission_ns(1500, 10'000'000);
-    for (const auto& r : result.records) {
-        if (r.packet.flow != 0) continue;
-        EXPECT_LE(r.delay_ns(), bound) << "VoIP packet " << r.packet.id;
+TEST(Drr, PeekSizeIsTheNextDequeue) {
+    // peek_size may rotate the round, but the packet it sizes is the one
+    // the next dequeue serves — what a byte-charging parent relies on.
+    DrrScheduler drr(500);
+    const auto a = drr.add_flow(1);
+    const auto b = drr.add_flow(3);
+    const auto c = drr.add_flow(2);
+    std::uint64_t id = 0;
+    for (std::uint32_t i = 0; i < 40; ++i) {
+        drr.enqueue({id++, a, 1400 - 30 * i, 0}, 0);
+        drr.enqueue({id++, b, 64 + 37 * i, 0}, 0);
+        if (i % 3 == 0) drr.enqueue({id++, c, 900, 0}, 0);
     }
+    while (drr.has_packets()) {
+        const auto head = drr.peek_size(0);
+        ASSERT_TRUE(head.has_value());
+        EXPECT_EQ(drr.peek_size(0), head);  // idempotent
+        const auto pkt = drr.dequeue(0);
+        ASSERT_TRUE(pkt.has_value());
+        EXPECT_EQ(pkt->size_bytes, *head);
+    }
+    EXPECT_FALSE(drr.peek_size(0).has_value());
 }
 
 // -------------------------------------------------------------- SRR
