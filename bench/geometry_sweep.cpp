@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
     std::printf("per literal), not with the 4096x wider value space; the tiered\n");
     std::printf("table holds a million residents where the flat table cannot\n");
     std::printf("allocate, and the hot tier absorbs the head-locality lookups.\n");
-    reporter.record_host_ops(4 * 30000 + 1'000'000 + 50000);
     reporter.finish();
     return 0;
 }

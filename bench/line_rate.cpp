@@ -59,7 +59,7 @@ sched_prog::PifoScheduler make_wfq(std::uint64_t rate,
 // box in the same process); perf_smoke gates host.ffs.speedup_vs_model so
 // the committed artifact certifies the ffs backend's 10x claim without
 // trusting anyone's absolute ops/s.
-std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
+void run_host_throughput_phase(obs::BenchReporter& reporter) {
     constexpr std::size_t kBatch = 256;
     constexpr std::size_t kWarm = 8192;     // steady-state occupancy
     constexpr std::uint64_t kOps = 1 << 21; // insert+pop pairs count as 2
@@ -107,7 +107,6 @@ std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
     reg.gauge("host.model.ops_per_sec").set(model_ops);
     reg.gauge("host.ffs.ops_per_sec").set(ffs_ops);
     reg.gauge("host.ffs.speedup_vs_model").set(speedup);
-    return 2 * kOps;  // both backends' op streams are host work
 }
 
 // --- driver phase ------------------------------------------------------
@@ -115,10 +114,9 @@ std::uint64_t run_host_throughput_phase(obs::BenchReporter& reporter) {
 // Drives the mixed workload through the full WFQ + sorter stack on the
 // SimDriver. The scheduler owns its own hw::Simulation, so the
 // `hw.cycles` counter registered in main stays byte-exact for the
-// perf-smoke gate. Returns the host ops the run performed.
-std::uint64_t run_driver_phase(obs::BenchReporter& reporter,
-                               obs::HostProfiler& prof,
-                               baselines::SorterBackend backend) {
+// perf-smoke gate.
+void run_driver_phase(obs::BenchReporter& reporter, obs::HostProfiler& prof,
+                      baselines::SorterBackend backend) {
     constexpr std::uint64_t kRate = 50'000'000;
     constexpr net::TimeNs kHorizon = 5'000'000'000;  // 5 s of traffic
 
@@ -126,8 +124,6 @@ std::uint64_t run_driver_phase(obs::BenchReporter& reporter,
     auto flows = net::make_mixed_profile(kHorizon, reporter.seed(3));
     net::SimDriver driver(kRate);
     driver.attach_metrics(reporter.registry());
-    // Telemetry rides only when asked for, so a plain run stays a true
-    // telemetry-off baseline for the perf-smoke overhead gate.
     const bool telemetry =
         reporter.timeseries_enabled() || reporter.live_path().has_value();
     if (telemetry) {
@@ -154,7 +150,6 @@ std::uint64_t run_driver_phase(obs::BenchReporter& reporter,
         std::printf("%s\n", prof.to_table().c_str());
         reporter.set_profiler(&prof);
     }
-    return ops;
 }
 
 }  // namespace
@@ -226,15 +221,14 @@ int main(int argc, char** argv) {
 
     // --- host throughput phase (both backends) -------------------------
     std::printf("\n");
-    const std::uint64_t throughput_ops = run_host_throughput_phase(reporter);
+    run_host_throughput_phase(reporter);
 
     // --- driver phase --------------------------------------------------
     // Outlives reporter.finish(): the reporter exports its per-stage
     // timeline under "host_profile" when --timeseries is on.
     obs::HostProfiler prof;
-    const std::uint64_t driver_ops = run_driver_phase(reporter, prof, backend);
+    run_driver_phase(reporter, prof, backend);
 
-    reporter.record_host_ops(kOps + throughput_ops + driver_ops);
     reporter.finish();
     return 0;
 }

@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
     TextTable table({"row", "policy", "served", "inversions", "inv rate",
                      "rank drops", "Jain idx", "p99 delay (us)"});
     auto& reg = reporter.registry();
-    std::uint64_t host_ops = 0;
     auto add = [&](const Row& r) {
         table.add_row({r.name, r.policy, TextTable::num(double(r.served), 0),
                        TextTable::num(double(r.inversions), 0),
@@ -200,7 +199,6 @@ int main(int argc, char** argv) {
         reg.gauge(base + "jain_index").set(r.jain);
         reg.gauge(base + "p99_delay_us").set(r.p99_delay_us);
         reg.gauge(base + "exact").set(r.exact ? 1.0 : 0.0);
-        host_ops += r.served;
     };
 
     const sched_prog::RankConfig rank;  // 1 Gb/s, granularity -6: defaults
@@ -246,7 +244,6 @@ int main(int argc, char** argv) {
     std::printf("expected shape: the exact PIFO rows report zero inversions for every\n");
     std::printf("policy and backend; the SP-PIFO and RIFO approximations invert (RIFO\n");
     std::printf("also sheds by rank). perf_smoke.py --policy gates on this.\n");
-    reporter.record_host_ops(host_ops);
     reporter.finish();
     return 0;
 }

@@ -165,7 +165,6 @@ int main(int argc, char** argv) {
                      "speedup", "host ops/s"});
     std::vector<SynthesisReport> synth_rows;
     double n1_cycles_per_op = 0.0;
-    std::uint64_t host_ops_total = 0;
 
     for (const unsigned n : {1u, 2u, 4u, 8u, 16u}) {
         hw::Simulation sim;
@@ -176,7 +175,6 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
         const std::uint64_t ops = kPrefill + 2ull * kPairs;
-        host_ops_total += ops;
 
         const double cyc_per_op = sorter.modeled_cycles_per_op();
         if (n == 1) n1_cycles_per_op = cyc_per_op;
@@ -225,7 +223,6 @@ int main(int argc, char** argv) {
                 "packets delivered\n",
                 backend_name.c_str(), static_cast<unsigned long long>(delivered));
 
-    reporter.record_host_ops(host_ops_total);
     reporter.finish();
     if (!identical) {
         std::fprintf(stderr, "FAIL: N=1 sharded run diverged from the bare sorter\n");

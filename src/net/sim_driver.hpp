@@ -37,8 +37,8 @@ public:
     /// run(). The registry must outlive the driver's last run.
     void attach_metrics(obs::MetricsRegistry& registry);
 
-    /// Attribute the loop's time to gen/sched/egress stage sections with
-    /// 1-in-64 SampledTimer brackets (see obs::HostProfiler). The caller
+    /// Count offered (gen) and served (sched) packets into the profiler's
+    /// stage items, flushed in blocks (see obs::HostProfiler). The caller
     /// owns the profiler's sampling lifecycle; null detaches.
     void set_profiler(obs::HostProfiler* profiler) { profiler_ = profiler; }
 

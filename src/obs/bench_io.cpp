@@ -152,15 +152,6 @@ void BenchReporter::finish() {
                                                   host_start_)
             .count();
     registry_.gauge("host.elapsed_ms").set(elapsed_ms);
-    if (host_ops_ > 0) {
-        const double ops_per_sec =
-            elapsed_ms > 0.0 ? static_cast<double>(host_ops_) * 1000.0 / elapsed_ms
-                             : 0.0;
-        registry_.gauge("host.ops_per_sec").set(ops_per_sec);
-        std::printf("[host] %llu ops in %.1f ms = %.0f ops/s\n",
-                    static_cast<unsigned long long>(host_ops_), elapsed_ms,
-                    ops_per_sec);
-    }
     if (timeseries_ && series_.window_count() == 0) {
         // Whole-run fallback window: benches without a natural time axis
         // still export a uniformly-shaped timeseries section.

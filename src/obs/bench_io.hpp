@@ -118,21 +118,16 @@ public:
         return seed_override_ ? *seed_override_ + site_default : site_default;
     }
 
-    /// Count host-side benchmark operations toward `host.ops_per_sec`.
-    /// Call once (or accumulate over phases) before finish().
-    void record_host_ops(std::uint64_t ops) { host_ops_ += ops; }
-
     /// Record which sorter backend the run used; exported as a top-level
     /// "backend" string in the JSON document so every committed artifact
     /// says what produced its host-side numbers.
     void record_backend(std::string backend) { backend_ = std::move(backend); }
 
     /// Export (if requested) and print a one-line note to stdout. Also
-    /// stamps host wall-clock gauges into the registry first —
-    /// `host.elapsed_ms` since construction and, when record_host_ops()
-    /// was called, `host.ops_per_sec`. These measure the *host* simulation
-    /// speed (they vary machine to machine); trajectory tooling must
-    /// compare modeled metrics only and treat host.* as informational.
+    /// stamps `host.elapsed_ms` since construction into the registry
+    /// first. It measures the *host* simulation speed (it varies machine
+    /// to machine); trajectory tooling must compare modeled metrics only
+    /// and treat host.* as informational.
     void finish();
 
 private:
@@ -146,7 +141,6 @@ private:
     const HostProfiler* profiler_ = nullptr;
     std::chrono::steady_clock::time_point host_start_ =
         std::chrono::steady_clock::now();
-    std::uint64_t host_ops_ = 0;
     MetricsRegistry registry_;
     TimeSeries series_;
 };

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/assert.hpp"
 #include "common/table.hpp"
@@ -14,7 +13,6 @@ const char* HostProfiler::stage_name(Stage s) {
     switch (s) {
         case Stage::kGen: return "gen";
         case Stage::kSched: return "sched";
-        case Stage::kEgress: return "egress";
     }
     return "unknown";
 }
@@ -57,12 +55,9 @@ void HostProfiler::register_stage_probes() {
     probes_registered_ = true;
     for (std::size_t i = 0; i < kStageCount; ++i) {
         const Stage s = static_cast<Stage>(i);
-        const std::string base = std::string("stage.") + stage_name(s);
         const StageCounters* c = &stages_[i];
-        series_.add_counter(base + ".items",
+        series_.add_counter(std::string("stage.") + stage_name(s) + ".items",
                             [c] { return c->items(); });
-        series_.add_counter(base + ".busy_ns",
-                            [c] { return c->busy_ns(); });
     }
 }
 
@@ -79,6 +74,8 @@ void HostProfiler::stop_sampling() {
     stop_.store(true, std::memory_order_relaxed);
     sampler_.join();
     end_run();
+    // A final frame, so the live file ends on the run's closing counts.
+    if (!live_path_.empty()) write_live();
 }
 
 void HostProfiler::sampler_loop() {
@@ -99,49 +96,21 @@ double HostProfiler::elapsed_seconds() const {
 }
 
 std::vector<HostProfiler::StageSummary> HostProfiler::summary() const {
-    std::uint64_t total_busy = 0;
-    for (const auto& c : stages_) total_busy += c.busy_ns();
     std::vector<StageSummary> out;
     out.reserve(kStageCount);
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-        const StageCounters& c = stages_[i];
-        StageSummary s{};
-        s.name = stage_name(static_cast<Stage>(i));
-        s.items = c.items();
-        s.busy_ns = c.busy_ns();
-        if (total_busy > 0)
-            s.busy_fraction =
-                static_cast<double>(s.busy_ns) / static_cast<double>(total_busy);
-        out.push_back(s);
-    }
+    for (std::size_t i = 0; i < kStageCount; ++i)
+        out.push_back({stage_name(static_cast<Stage>(i)), stages_[i].items()});
     return out;
-}
-
-HostProfiler::Stage HostProfiler::bottleneck() const {
-    const std::vector<StageSummary> s = summary();
-    std::size_t best = static_cast<std::size_t>(Stage::kSched);
-    double best_frac = -1.0;
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i].items == 0 && s[i].busy_ns == 0) continue;
-        if (s[i].busy_fraction > best_frac) {
-            best_frac = s[i].busy_fraction;
-            best = i;
-        }
-    }
-    return static_cast<Stage>(best);
 }
 
 void HostProfiler::write_json(JsonWriter& w) const {
     w.begin_object();
     w.field("elapsed_s", elapsed_seconds());
-    w.field("bottleneck", stage_name(bottleneck()));
     w.key("stages").begin_array();
     for (const StageSummary& s : summary()) {
         w.begin_object();
         w.field("name", s.name);
         w.field("items", s.items);
-        w.field("busy_ns", s.busy_ns);
-        w.field("busy_fraction", s.busy_fraction);
         w.end_object();
     }
     w.end_array();
@@ -151,17 +120,10 @@ void HostProfiler::write_json(JsonWriter& w) const {
 }
 
 std::string HostProfiler::to_table() const {
-    TextTable t({"stage", "items", "busy_ms", "busy_frac"});
-    for (const StageSummary& s : summary()) {
-        if (s.items == 0 && s.busy_ns == 0) continue;
-        t.add_row({s.name, TextTable::num(s.items),
-                   TextTable::num(static_cast<double>(s.busy_ns) / 1e6, 3),
-                   TextTable::num(s.busy_fraction, 4)});
-    }
-    std::ostringstream os;
-    os << t.render();
-    os << "bottleneck: " << stage_name(bottleneck()) << "\n";
-    return os.str();
+    TextTable t({"stage", "items"});
+    for (const StageSummary& s : summary())
+        if (s.items != 0) t.add_row({s.name, TextTable::num(s.items)});
+    return t.render();
 }
 
 void HostProfiler::write_live() const {
@@ -172,8 +134,7 @@ void HostProfiler::write_live() const {
         out << "# wfqs-live v1\n";
         out << "elapsed_s " << elapsed_seconds() << "\n";
         for (const StageSummary& s : summary())
-            out << "stage " << s.name << " items " << s.items << " busy_ns "
-                << s.busy_ns << " busy " << s.busy_fraction << "\n";
+            out << "stage " << s.name << " items " << s.items << "\n";
         for (const auto& line : live_lines_) out << line() << "\n";
         // Sparkline tails: the last few closed windows of every probe
         // (counters are per-window deltas, gauges close samples).

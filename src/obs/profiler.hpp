@@ -1,20 +1,16 @@
-// HostProfiler: per-stage timelines for the simulation driver's stage
-// *sections*, built on TimeSeries.
+// HostProfiler: a wall-clock probe sampler for a running bench, built on
+// TimeSeries, plus the live status file wfqs_top polls.
 //
-// The model. A run is split into three stages — gen (arrival
-// generation), sched (scheduler enqueue/dequeue), egress (result and
-// metric recording). Each stage owns a StageCounters block of relaxed
-// atomics (items, sampled busy nanoseconds) that the driver bumps and the
-// profiler's sampler thread reads concurrently — TSan-clean by
-// construction.
-//
-// Busy time comes from SampledTimer: 1-in-64 brackets are timed and
-// charged x64, so the expected cost is two clock reads per 64 packets.
-// A stage's busy fraction is its share of the measured busy time.
+// The model. The simulation driver reports two stages — gen (packets
+// offered) and sched (packets served). Each stage owns a StageCounters
+// block: one relaxed atomic item count that the driver bumps per flushed
+// block and the profiler's sampler thread reads concurrently — TSan-clean
+// by construction. Host time per layer is perfbench's traced ledger, not
+// this class's job.
 //
 // Sampling. start_sampling() launches a wall-clock sampler thread that
 // ticks an internal TimeSeries (budgeted, self-downsampling) over the
-// registered probes — per-stage item/busy counters plus any gauges and
+// registered probes — per-stage item counters plus any gauges and
 // counters the caller adds — and optionally rewrites a live status file
 // (`# wfqs-live v1`, tmp+rename) that wfqs_top polls.
 // Probes must be registered before start_sampling(); sampling must stop
@@ -37,37 +33,28 @@ class JsonWriter;
 
 class HostProfiler {
 public:
-    enum class Stage : std::uint8_t { kGen, kSched, kEgress };
-    static constexpr std::size_t kStageCount = 3;
+    enum class Stage : std::uint8_t { kGen, kSched };
+    static constexpr std::size_t kStageCount = 2;
     static const char* stage_name(Stage s);
 
-    /// Per-stage tallies, sampled cross-thread. Updates are relaxed
-    /// fetch_adds — writers touch them per flushed block of items or per
-    /// sampled bracket, never per item, so the RMW cost is noise.
-    /// Readers see slightly stale but untorn values.
+    /// Per-stage item tally, sampled cross-thread. Updates are relaxed
+    /// fetch_adds — the writer touches it per flushed block of items,
+    /// never per item, so the RMW cost is noise. Readers see slightly
+    /// stale but untorn values.
     class StageCounters {
     public:
-        void add_items(std::uint64_t n) { bump(items_, n); }
-        void add_busy_ns(std::uint64_t ns) { bump(busy_ns_, ns); }
-
-        std::uint64_t items() const { return items_.load(std::memory_order_relaxed); }
-        std::uint64_t busy_ns() const {
-            return busy_ns_.load(std::memory_order_relaxed);
+        void add_items(std::uint64_t n) {
+            items_.fetch_add(n, std::memory_order_relaxed);
         }
+        std::uint64_t items() const { return items_.load(std::memory_order_relaxed); }
 
     private:
-        static void bump(std::atomic<std::uint64_t>& a, std::uint64_t n) {
-            a.fetch_add(n, std::memory_order_relaxed);
-        }
         std::atomic<std::uint64_t> items_{0};
-        std::atomic<std::uint64_t> busy_ns_{0};  ///< SampledTimer credit
     };
 
     struct StageSummary {
         const char* name;
         std::uint64_t items;
-        std::uint64_t busy_ns;
-        double busy_fraction;  ///< share of total measured busy time
     };
 
     /// `budget`: TimeSeries window budget; `period`: sampler tick period.
@@ -96,21 +83,22 @@ public:
     void begin_run();
     void end_run();
 
-    /// Launch the sampler thread: per-stage item/busy probes (registered
+    /// Launch the sampler thread: per-stage item probes (registered
     /// on first start) plus everything added above, ticked every period.
     void start_sampling();
     void stop_sampling();
     bool sampling() const { return sampler_.joinable(); }
 
     /// Live status file for wfqs_top (written tmp+rename every tick
-    /// while sampling). Set before start_sampling(); empty disables.
+    /// while sampling, and once more by stop_sampling()). Set before
+    /// start_sampling(); empty disables.
     void set_live_path(const std::string& path) { live_path_ = path; }
 
     /// Append one extra line to every live status write — e.g. the
     /// reshard soak's per-bank `bank <i> state <s> occ <n> ...` rows.
-    /// The callback runs on the sampler thread, so whatever it reads
-    /// must be safe to read concurrently; register before
-    /// start_sampling().
+    /// The callback runs on the sampler thread (and on the caller's in
+    /// stop_sampling()), so whatever it reads must be safe to read
+    /// concurrently; register before start_sampling().
     void add_live_line(std::function<std::string()> fn) {
         live_lines_.push_back(std::move(fn));
     }
@@ -118,14 +106,12 @@ public:
     // -- results (read after end_run/stop_sampling) ------------------------
     double elapsed_seconds() const;
     std::vector<StageSummary> summary() const;
-    /// Stage with the highest busy fraction among active stages.
-    Stage bottleneck() const;
     const TimeSeries& series() const { return series_; }
 
-    /// {"elapsed_s":..,"bottleneck":"..","stages":[{...}],
+    /// {"elapsed_s":..,"stages":[{"name":..,"items":..}],
     ///  "timeseries":{...}}
     void write_json(JsonWriter& w) const;
-    /// Human-readable per-stage table plus the bottleneck verdict.
+    /// Human-readable per-stage item table.
     std::string to_table() const;
 
 private:
@@ -144,49 +130,6 @@ private:
     bool began_ = false, ended_ = false;
     std::thread sampler_;
     std::atomic<bool> stop_{false};
-};
-
-/// 1-in-kStride scoped-timer sampling against a StageCounters block:
-/// every kStride-th bracket is timed (two steady_clock reads) and charged
-/// x kStride as busy time, so a section wrapped in SampledTimer::Scope
-/// costs ~2 clock reads / 64 calls. Null target disables entirely.
-class SampledTimer {
-public:
-    static constexpr std::uint64_t kStride = 64;
-
-    explicit SampledTimer(HostProfiler::StageCounters* target)
-        : target_(target) {}
-
-    class Scope {
-    public:
-        explicit Scope(SampledTimer& t) {
-            if (t.target_ != nullptr && t.calls_++ % kStride == 0) {
-                target_ = t.target_;
-                start_ = std::chrono::steady_clock::now();
-            }
-        }
-        ~Scope() {
-            if (target_ != nullptr) {
-                const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                    std::chrono::steady_clock::now() - start_)
-                                    .count();
-                target_->add_busy_ns(static_cast<std::uint64_t>(ns) * kStride);
-            }
-        }
-        Scope(const Scope&) = delete;
-        Scope& operator=(const Scope&) = delete;
-
-    private:
-        HostProfiler::StageCounters* target_ = nullptr;
-        std::chrono::steady_clock::time_point start_;
-    };
-
-    Scope time() { return Scope(*this); }
-
-private:
-    friend class Scope;
-    HostProfiler::StageCounters* target_;
-    std::uint64_t calls_ = 0;
 };
 
 }  // namespace wfqs::obs

@@ -45,7 +45,12 @@ void PifoScheduler::release_slot(std::uint32_t slot) {
 bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
     const auto ref = buffer_.store(packet);
     if (!ref) return false;
-    const RankSet ranks = rank_->on_arrival(packet, now);
+    // A retry of a faulted insert reuses its ranks: on_arrival already
+    // charged the flow's finish tag and the GPS backlog for this packet.
+    const RankSet ranks = retry_ && retry_->first == packet.id
+                              ? retry_->second
+                              : rank_->on_arrival(packet, now);
+    retry_.reset();
     const std::uint32_t slot = allocate_slot(ranks.rank, *ref, packet.size_bytes);
     try {
         // Two-stage: wait in start order until eligible.
@@ -58,6 +63,7 @@ bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
         // cell so a post-recovery retry re-stores the packet cleanly.
         release_slot(slot);
         buffer_.retrieve(*ref);
+        retry_.emplace(packet.id, ranks);
         throw;
     }
     if (start_queue_) promote_eligible(now);

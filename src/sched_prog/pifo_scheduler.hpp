@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "baselines/tag_queue.hpp"
@@ -76,6 +77,8 @@ private:
     scheduler::SharedPacketBuffer buffer_;
     std::vector<Pending> slots_;
     std::vector<std::uint32_t> free_slots_;
+    /// {packet id, ranks} of the last faulted insert, for its retry.
+    std::optional<std::pair<std::uint64_t, RankSet>> retry_;
 };
 
 }  // namespace wfqs::sched_prog

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "fault/errors.hpp"
 #include "net/sim_driver.hpp"
@@ -274,6 +276,34 @@ TEST(PifoScheduler, SimDriverRecoversFromFaultedInserts) {
     EXPECT_EQ(result.dropped_packets, 0u);
     EXPECT_EQ(result.records.size(), result.offered_packets);
     EXPECT_FALSE(sched.has_packets());
+}
+
+TEST(PifoScheduler, RetriedInsertChargesRankOnce) {
+    // A faulted insert is retried by the driver with the same packet. The
+    // retry must reuse the ranks of the first attempt, not charge the
+    // flow's finish tag and the GPS backlog a second time, so the
+    // departures match a run where no insert faults.
+    const auto departures = [](sched_prog::QueueFactory factory) {
+        sched_prog::PifoScheduler::Config cfg;
+        cfg.rank.link_rate_bps = 20'000'000;
+        sched_prog::PifoScheduler sched(cfg, std::move(factory));
+        auto flows = net::make_mixed_profile(1'000'000'000 / 5, 13);
+        net::SimDriver driver(20'000'000);
+        const auto result = driver.run(sched, flows);
+        std::vector<std::pair<std::uint64_t, net::TimeNs>> out;
+        for (const auto& r : result.records)
+            out.emplace_back(r.packet.id, r.service_start_ns);
+        return std::make_pair(out, result.sorter_faults);
+    };
+    std::uint64_t recoveries = 0;
+    const auto [faulted, faults] = departures(faulty_model_factory(25, &recoveries));
+    const auto [clean, no_faults] = departures([] {
+        return baselines::make_tag_queue(baselines::QueueKind::MultibitTree,
+                                         {20, 1 << 16});
+    });
+    ASSERT_GT(faults, 0u);
+    ASSERT_EQ(no_faults, 0u);
+    EXPECT_EQ(faulted, clean);
 }
 
 // --------------------------------------------------- SpPifoScheduler

@@ -5,8 +5,6 @@ Usage:
   perf_smoke.py <committed.json> <fresh.json> [--tolerance FRAC]
   perf_smoke.py --policy <committed_policy.json> <fresh_policy.json>
                 [--tolerance FRAC]
-  perf_smoke.py --host-overhead <off.json[,off2,...]> <on.json[,on2,...]>
-                [--overhead-tolerance FRAC]
 
 Default mode checks (all on *modeled*, machine-independent metrics):
   1. every committed gauge whose name contains "cycles_per_op" must not
@@ -25,11 +23,6 @@ Default mode checks (all on *modeled*, machine-independent metrics):
      must match exactly — the 4-bank WFQ demo is deterministic, and both
      sorter backends must deliver the committed packet count.
 
-Optional per-backend absolute floors (machine-specific, off by default):
---model-floor / --ffs-floor gate host.model.ops_per_sec and
-host.ffs.ops_per_sec in the fresh run. Use these only where the runner
-hardware is known (e.g. a dedicated perf box).
-
 --policy mode gates bench/policy_comparison artifacts (modeled,
 seed-deterministic metrics only):
   1. every fresh row with policy.<row>.exact == 1 must report exactly
@@ -42,17 +35,9 @@ seed-deterministic metrics only):
      not that SP-PIFO/RIFO became exact;
   4. every committed policy.* row must still be present in the fresh run.
 
---host-overhead mode gates the cost of telemetry itself: both file lists
-come from the *same machine and bench*, the first run plain, the second
-with --timeseries (profiler + sampler attached). Comma-separated lists
-are best-of-N: the best ops/sec on each side is compared, and the run
-fails if telemetry costs more than --overhead-tolerance (default 3%) of
-host.ops_per_sec.
-
-host.* *wall-clock* gauges (elapsed_ms, ops_per_sec) vary machine to
-machine and are skipped by the default mode's name scan; the same-process
-ratio of check 4 is the one host.* value that gates. Exits 0 when every
-check passes, 1 otherwise.
+host.* wall-clock gauges vary machine to machine and are skipped by the
+default mode's name scan; the same-process ratio of check 4 is the one
+host.* value that gates. Exits 0 when every check passes, 1 otherwise.
 """
 
 import argparse
@@ -70,38 +55,6 @@ def flat_metrics(doc):
     flat.update(metrics.get("counters", {}))
     flat.update(metrics.get("gauges", {}))
     return flat
-
-
-def best_ops_per_sec(paths):
-    """Best-of-N host.ops_per_sec over a comma-separated file list."""
-    best = None
-    for path in paths.split(","):
-        metrics = flat_metrics(load_doc(path))
-        ops = metrics.get("host.ops_per_sec")
-        if ops is None:
-            raise SystemExit(f"perf_smoke: {path} has no host.ops_per_sec "
-                             "(bench must call record_host_ops)")
-        best = ops if best is None or ops > best else best
-    return best
-
-
-def run_host_overhead(args):
-    off = best_ops_per_sec(args.committed)
-    on = best_ops_per_sec(args.fresh)
-    floor = off * (1.0 - args.overhead_tolerance)
-    overhead = 1.0 - on / off if off > 0 else 0.0
-    print(f"  telemetry off: {off:.0f} ops/s (best of "
-          f"{args.committed.count(',') + 1})")
-    print(f"  telemetry on : {on:.0f} ops/s (best of "
-          f"{args.fresh.count(',') + 1})")
-    print(f"  overhead     : {overhead * 100.0:.2f}% "
-          f"(limit {args.overhead_tolerance * 100.0:.1f}%)")
-    if on < floor:
-        print(f"PERF SMOKE FAIL: telemetry-on hot path below "
-              f"{floor:.0f} ops/s floor", file=sys.stderr)
-        return 1
-    print("PERF SMOKE PASS (telemetry overhead within budget)")
-    return 0
 
 
 def policy_rows(metrics):
@@ -167,36 +120,19 @@ def run_policy(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("committed",
-                        help="committed artifact, or telemetry-OFF list in "
-                             "--host-overhead mode")
-    parser.add_argument("fresh",
-                        help="fresh run, or telemetry-ON list in "
-                             "--host-overhead mode")
+    parser.add_argument("committed", help="committed artifact")
+    parser.add_argument("fresh", help="fresh run")
     parser.add_argument("--tolerance", type=float, default=0.05,
                         help="allowed fractional cycles/op regression (default 5%%)")
     parser.add_argument("--policy", action="store_true",
                         help="gate bench/policy_comparison artifacts: exact "
                              "rows invert zero times, approximation rows stay "
                              "inside the committed inversion-rate envelope")
-    parser.add_argument("--host-overhead", action="store_true",
-                        help="gate telemetry cost: both args are same-machine "
-                             "host.ops_per_sec runs, plain vs --timeseries")
-    parser.add_argument("--overhead-tolerance", type=float, default=0.03,
-                        help="allowed telemetry slowdown (default 3%%)")
     parser.add_argument("--ffs-speedup-floor", type=float, default=3.0,
                         help="minimum host.ffs.speedup_vs_model (same-process "
                              "ratio; default 3.0)")
-    parser.add_argument("--model-floor", type=float, default=None,
-                        help="absolute host.model.ops_per_sec floor "
-                             "(machine-specific; off by default)")
-    parser.add_argument("--ffs-floor", type=float, default=None,
-                        help="absolute host.ffs.ops_per_sec floor "
-                             "(machine-specific; off by default)")
     args = parser.parse_args()
 
-    if args.host_overhead:
-        return run_host_overhead(args)
     if args.policy:
         return run_policy(args)
 
@@ -258,19 +194,6 @@ def main():
                             "its edge over the cycle model)")
         else:
             print(f"  {gate}: {ratio:.2f} (floor {args.ffs_speedup_floor:.2f})")
-
-    for floor, name in ((args.model_floor, "host.model.ops_per_sec"),
-                        (args.ffs_floor, "host.ffs.ops_per_sec")):
-        if floor is None:
-            continue
-        now = fresh.get(name)
-        checked += 1
-        if now is None:
-            failures.append(f"{name}: missing from fresh run (floor requested)")
-        elif now < floor:
-            failures.append(f"{name}: {now:.0f} < floor {floor:.0f}")
-        else:
-            print(f"  {name}: {now:.0f} (floor {floor:.0f})")
 
     if checked == 0:
         failures.append("no comparable modeled metrics found — wrong file pair?")

@@ -6,10 +6,10 @@
 //       Attach to a live bench. A profiler-attached bench run with
 //       `--live STATUS_FILE` rewrites the file (tmp+rename) every
 //       sampler tick in the `# wfqs-live v1` format; wfqs_top polls it
-//       and redraws a per-stage table (items, busy fraction with a
-//       bar) plus ASCII sparklines of the most recent timeline
-//       windows. --once renders a single frame without touching the
-//       terminal modes — that is what tests and scripts use.
+//       and redraws a per-stage item table, any per-bank rows, and
+//       ASCII sparklines of the most recent timeline windows. --once
+//       renders a single frame without touching the terminal modes —
+//       that is what tests and scripts use.
 //
 //   wfqs_top --replay DUMP.ops
 //       Render a flight-recorder dump (from fault_soak --flight,
@@ -44,8 +44,6 @@ using wfqs::TextTable;
 struct StageRow {
     std::string name;
     std::uint64_t items = 0;
-    std::uint64_t busy_ns = 0;
-    double busy = 0.0;
 };
 
 /// Per-bank row of a sharded/reshard bench (`bank <i> state <s> occ <n>
@@ -84,11 +82,8 @@ std::optional<LiveStatus> parse_live(const std::string& path) {
             StageRow row;
             std::string k;
             ls >> row.name;
-            while (ls >> k) {
+            while (ls >> k)
                 if (k == "items") ls >> row.items;
-                else if (k == "busy_ns") ls >> row.busy_ns;
-                else if (k == "busy") ls >> row.busy;
-            }
             st.stages.push_back(std::move(row));
         } else if (key == "bank") {
             BankRow row;
@@ -132,7 +127,7 @@ std::string sparkline(const std::vector<double>& v) {
     return out;
 }
 
-std::string busy_bar(double frac, std::size_t width = 20) {
+std::string bar(double frac, std::size_t width = 20) {
     if (frac < 0) frac = 0;
     if (frac > 1) frac = 1;
     const std::size_t fill = static_cast<std::size_t>(frac * width + 0.5);
@@ -142,19 +137,10 @@ std::string busy_bar(double frac, std::size_t width = 20) {
 void render_live(const LiveStatus& st, const std::string& path, bool stale) {
     std::printf("wfqs_top — %s  (elapsed %.2fs%s)\n", path.c_str(), st.elapsed_s,
                 stale ? ", STALE" : "");
-    TextTable t({"stage", "items", "busy_ms", "busy", ""});
-    const StageRow* hot = nullptr;
-    for (const StageRow& s : st.stages) {
-        if (s.items == 0 && s.busy_ns == 0) continue;
-        if (hot == nullptr || s.busy > hot->busy) hot = &s;
-        t.add_row({s.name, TextTable::num(s.items),
-                   TextTable::num(static_cast<double>(s.busy_ns) / 1e6, 2),
-                   TextTable::num(s.busy, 3), busy_bar(s.busy)});
-    }
+    TextTable t({"stage", "items"});
+    for (const StageRow& s : st.stages)
+        if (s.items != 0) t.add_row({s.name, TextTable::num(s.items)});
     std::printf("%s", t.render().c_str());
-    if (hot != nullptr)
-        std::printf("bottleneck: %s (largest share of busy time)\n",
-                    hot->name.c_str());
     if (!st.banks.empty()) {
         std::uint64_t max_occ = 1;
         for (const BankRow& b : st.banks)
@@ -165,7 +151,7 @@ void render_live(const LiveStatus& st, const std::string& path, bool stale) {
             bt.add_row({TextTable::num(static_cast<std::uint64_t>(b.index)),
                         b.state, TextTable::num(b.occ), TextTable::num(b.wait),
                         TextTable::num(b.ops),
-                        busy_bar(static_cast<double>(b.occ) /
+                        bar(static_cast<double>(b.occ) /
                                  static_cast<double>(max_occ))});
         std::printf("%s", bt.render().c_str());
     }
