@@ -104,8 +104,6 @@ void run_host_throughput_phase(obs::BenchReporter& reporter) {
     std::printf("  model backend        : %.0f ops/s\n", model_ops);
     std::printf("  ffs backend          : %.0f ops/s (%.1fx)\n\n", ffs_ops,
                 speedup);
-    reg.gauge("host.model.ops_per_sec").set(model_ops);
-    reg.gauge("host.ffs.ops_per_sec").set(ffs_ops);
     reg.gauge("host.ffs.speedup_vs_model").set(speedup);
 }
 

@@ -4,15 +4,12 @@
 // until it saturates at the clock rate (N >= the 4-cycle initiation
 // interval).
 //
-// Three views per bank count N in {1, 2, 4, 8, 16}:
+// Two views per bank count N in {1, 2, 4, 8, 16}:
 //   1. modeled   — the cycle-accurate bank arbiter's makespan over a
 //      saturating stream of separate insert and pop ops (each op engages
 //      one bank, the sustained line-rate pattern when arrivals and
 //      departures come from independent ports);
-//   2. host      — wall-clock ops/sec of the same run (the host
-//      fast-path's number; machine-dependent, excluded from trajectory
-//      comparisons);
-//   3. synthesis — the Table II model extended with N banks and the
+//   2. synthesis — the Table II model extended with N banks and the
 //      (N-1)-comparator head-merge tree.
 //
 // The bench also end-to-end-checks the wiring: the N=1 sharded run must
@@ -20,7 +17,6 @@
 // (the process exits non-zero on any divergence — CI leans on this), and
 // a sharded queue is driven through the full WFQ scheduler + SimDriver
 // stack via the QueueParams::num_banks knob.
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -162,31 +158,23 @@ int main(int argc, char** argv) {
         sharded_config(1), matcher::MatcherKind::SelectLookahead);
 
     TextTable table({"banks", "modeled cyc/op", "overlap", "modeled Mpps",
-                     "speedup", "host ops/s"});
+                     "speedup"});
     std::vector<SynthesisReport> synth_rows;
     double n1_cycles_per_op = 0.0;
 
     for (const unsigned n : {1u, 2u, 4u, 8u, 16u}) {
         hw::Simulation sim;
         ShardedSorter<TagSorter> sorter(sharded_config(n), sim);
-        const auto t0 = std::chrono::steady_clock::now();
         drive(sorter, reporter.seed(1));
-        const double host_sec =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        const std::uint64_t ops = kPrefill + 2ull * kPairs;
 
         const double cyc_per_op = sorter.modeled_cycles_per_op();
         if (n == 1) n1_cycles_per_op = cyc_per_op;
         const double mpps = analysis::circuit_mpps(base_model.clock_mhz, cyc_per_op);
-        const double host_ops_sec =
-            host_sec > 0.0 ? static_cast<double>(ops) / host_sec : 0.0;
         table.add_row({TextTable::num(static_cast<std::int64_t>(n)),
                        TextTable::num(cyc_per_op, 3),
                        TextTable::num(sorter.overlap_factor(), 2),
                        TextTable::num(mpps, 1),
-                       TextTable::num(n1_cycles_per_op / cyc_per_op, 2),
-                       TextTable::num(host_ops_sec, 0)});
+                       TextTable::num(n1_cycles_per_op / cyc_per_op, 2)});
         synth_rows.push_back(synthesize_sharded(
             sharded_config(n), matcher::MatcherKind::SelectLookahead));
 
@@ -197,7 +185,6 @@ int main(int argc, char** argv) {
         reg.gauge(base + "speedup_vs_n1").set(n1_cycles_per_op / cyc_per_op);
         reg.gauge(base + "bank_wait_cycles")
             .set(static_cast<double>(sorter.stats().bank_wait_cycles));
-        reg.gauge(base + "host_ops_per_sec").set(host_ops_sec);
     }
     std::printf("%d prefill + %d insert/pop pairs per row, II = 4 cycles:\n%s\n",
                 kPrefill, kPairs, table.render().c_str());

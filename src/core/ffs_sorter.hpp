@@ -35,86 +35,17 @@
 // structural burst check instead; see tests/proptest/differ.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/word_array.hpp"
 #include "core/tag_sorter.hpp"  // SortedTag, SorterStats, TagSorter::Config
 #include "fault/audit.hpp"
 #include "obs/metrics.hpp"
 
 namespace wfqs::core {
-
-/// Bitmap level storage for the FFS sorter: dense vector up to
-/// kDenseWords (every paper-scale geometry — keeps the hot successor
-/// scan a plain array access), demand-allocated 4 KiB pages above it so
-/// a 32-bit leaf level (2^26 words = 512 MiB dense) costs memory
-/// proportional to the live value set. An absent page reads as zero.
-class PagedWords {
-public:
-    static constexpr std::uint64_t kDenseWords = std::uint64_t{1} << 16;
-    static constexpr unsigned kPageShift = 9;  ///< 512 words = 4 KiB/page
-    static constexpr std::uint64_t kPageMask = (std::uint64_t{1} << kPageShift) - 1;
-
-    explicit PagedWords(std::uint64_t words = 0)
-        : words_(words), dense_(words <= kDenseWords) {
-        if (dense_) data_.assign(static_cast<std::size_t>(words), 0);
-    }
-
-    std::uint64_t size() const { return words_; }
-    bool dense() const { return dense_; }
-
-    std::uint64_t get(std::uint64_t idx) const {
-        if (dense_) return data_[static_cast<std::size_t>(idx)];
-        const auto it = pages_.find(idx >> kPageShift);
-        return it == pages_.end()
-                   ? 0
-                   : it->second[static_cast<std::size_t>(idx & kPageMask)];
-    }
-
-    /// Writable word (allocates the page in paged mode). Also the debug
-    /// corruption hook: `level[w] ^= bit`.
-    std::uint64_t& operator[](std::uint64_t idx) {
-        if (dense_) return data_[static_cast<std::size_t>(idx)];
-        auto& page = pages_[idx >> kPageShift];
-        if (page.empty()) page.assign(std::size_t{1} << kPageShift, 0);
-        return page[static_cast<std::size_t>(idx & kPageMask)];
-    }
-
-    void clear() {
-        if (dense_)
-            std::fill(data_.begin(), data_.end(), 0);
-        else
-            pages_.clear();
-    }
-
-    /// Visit every nonzero word (sound in paged mode because only writes
-    /// allocate pages). Unordered across pages.
-    void for_each_nonzero(
-        const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
-        if (dense_) {
-            for (std::uint64_t w = 0; w < words_; ++w)
-                if (data_[static_cast<std::size_t>(w)] != 0)
-                    fn(w, data_[static_cast<std::size_t>(w)]);
-            return;
-        }
-        for (const auto& [page_idx, page] : pages_) {
-            const std::uint64_t base = page_idx << kPageShift;
-            for (std::size_t i = 0; i < page.size(); ++i)
-                if (page[i] != 0) fn(base + i, page[i]);
-        }
-    }
-
-private:
-    std::uint64_t words_ = 0;
-    bool dense_ = true;
-    std::vector<std::uint64_t> data_;
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> pages_;
-};
 
 class FfsSorter {
 public:
@@ -198,7 +129,7 @@ public:
     unsigned debug_level_count() const {
         return static_cast<unsigned>(levels_.size());
     }
-    PagedWords& debug_level(unsigned level) { return levels_[level]; }
+    WordArray& debug_level(unsigned level) { return levels_[level]; }
     std::uint32_t& debug_node_next(std::uint32_t node) {
         return nodes_[node].next;
     }
@@ -264,8 +195,9 @@ private:
 
     /// levels_[0] is the leaf bitmap (one bit per value); each higher level
     /// summarises 64 words of the one below; the top level is one word.
-    /// Wide geometries page the big lower levels (see PagedWords).
-    std::vector<PagedWords> levels_;
+    /// A 32-bit leaf level (2^26 words) commits memory only for its live
+    /// pages (see WordArray).
+    std::vector<WordArray> levels_;
     std::vector<Node> nodes_;
     std::vector<Chain> chains_;
     std::uint32_t free_head_ = kNull;

@@ -30,24 +30,22 @@
 // structurally inert when disabled. This is what lets the behavioural
 // benches sweep millions of ops per second on the host.
 //
-// Capacity note: blocks above kPagedThreshold words switch to a paged
-// backing store (4096-word pages allocated on first write) so a
-// 2^26-word tree leaf level or a multi-million-entry bulk tier is
-// simulatable without eagerly committing gigabytes of host memory. An
-// absent page reads as all-zero — exactly the dense block's initial
-// state — and every observable behaviour (port budget, stats, ECC,
-// injection) is identical; only the host-side representation differs.
-// Paged blocks always take the slow lane (`words_` stays empty, so the
-// inline fast-lane bounds check routes every access there).
+// Capacity note: data and check words live in wfqs::WordArray, which
+// reserves address space for the whole block but commits host memory
+// only for the 4 KiB pages written, so a 2^26-word tree leaf level or a
+// multi-million-entry bulk tier costs memory in proportion to its live
+// contents. Untouched words read zero with a zero check word (every codec
+// encodes 0 as 0), flash_clear and wipe hand wholly covered pages back to
+// the OS, and the maintenance sweeps visit touched pages only. Every
+// block, whatever its size, takes the same storage and the same lanes.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "common/word_array.hpp"
 #include "fault/ecc.hpp"
 #include "hw/clock.hpp"
 
@@ -69,27 +67,22 @@ struct SramStats {
 
 class Sram {
 public:
-    /// Words per page of the sparse backing store.
-    static constexpr std::size_t kPageWords = 4096;
-    /// Blocks above this many words use the paged backing store.
-    static constexpr std::size_t kPagedThreshold = std::size_t{1} << 20;
-
     /// `word_bits` is informational (drives the area model); words are held
     /// in uint64 and masked on write.
     Sram(std::string name, std::size_t num_words, unsigned word_bits, Clock& clock,
          unsigned ports = 1);
 
     std::uint64_t read(std::size_t addr) {
-        if (fast_path_ && addr < words_.size()) [[likely]] {
+        if (fast_path_ && addr < num_words_) [[likely]] {
             charge_port();
             ++stats_.reads;
-            return words_[addr];
+            return words_.get(addr);
         }
         return read_slow(addr);
     }
 
     void write(std::size_t addr, std::uint64_t value) {
-        if (fast_path_ && addr < words_.size()) [[likely]] {
+        if (fast_path_ && addr < num_words_) [[likely]] {
             charge_port();
             ++stats_.writes;
             words_[addr] = value & word_mask_;
@@ -128,6 +121,8 @@ public:
     /// Maintenance write used by the scrubber's repairs: stores `value`
     /// and re-encodes its check word, bypassing ports, counters, and the
     /// injector (background repair traffic absorbed by banking headroom).
+    /// A poke that leaves a cell unchanged does not write it, so repair
+    /// sweeps cannot commit pages that only hold zeros.
     void poke(std::size_t addr, std::uint64_t value);
 
     /// Maintenance sweep over the whole block: correct every correctable
@@ -149,16 +144,16 @@ public:
     /// them as corrupt. Identical to peek() when unprotected.
     std::uint64_t peek_corrected(std::size_t addr) const;
 
-    /// Maintenance zero of the whole block (no ports, no counters): the
-    /// paged backing drops every page; dense blocks are filled in place.
-    /// Used by bulk invalidation paths that would otherwise sweep every
-    /// word of a block far larger than its live contents.
+    /// Maintenance zero of the whole block (no ports, no counters): every
+    /// touched page goes back to the OS. Used by bulk invalidation paths
+    /// that would otherwise sweep every word of a block far larger than
+    /// its live contents.
     void wipe();
 
-    /// Invoke `fn(addr, word)` for every *nonzero* word, corrected
-    /// through the protection exactly like peek_corrected. Dense blocks
-    /// scan every word; paged blocks visit only allocated pages (absent
-    /// pages are all-zero by construction, so the view is identical).
+    /// Invoke `fn(addr, word)` for every *nonzero* word, in ascending
+    /// address order, corrected through the protection exactly like
+    /// peek_corrected. Only touched pages are visited (an untouched page
+    /// is zero data with zero check words, so the view is identical).
     /// This is the audit/repair primitive that keeps maintenance sweeps
     /// proportional to live state, not address-space size.
     void for_each_nonzero_word(
@@ -171,7 +166,6 @@ public:
     const std::string& name() const { return name_; }
     std::size_t num_words() const { return num_words_; }
     unsigned word_bits() const { return word_bits_; }
-    bool paged() const { return paged_; }
     std::uint64_t bit_capacity() const {
         return static_cast<std::uint64_t>(num_words_) * word_bits_;
     }
@@ -181,14 +175,12 @@ public:
     /// Highest number of accesses observed in any single cycle (≤ ports).
     unsigned peak_accesses_per_cycle() const { return peak_per_cycle_; }
 
-private:
-    /// One page of the sparse backing store. `check` is empty until the
-    /// block is protected, then holds one check word per data word.
-    struct Page {
-        std::vector<std::uint64_t> data;
-        std::vector<std::uint64_t> check;
-    };
+    /// Host pages holding written data or check words (tests only).
+    std::size_t touched_pages() const {
+        return words_.touched_pages() + check_words_.touched_pages();
+    }
 
+private:
     void check_addr(std::size_t addr, const char* op) const;
     /// Port accounting shared by both lanes: the counters update with
     /// straight-line selects; only the budget violation branches (into a
@@ -205,21 +197,9 @@ private:
     /// Full-featured lanes: address check + codec + injector dispatch.
     std::uint64_t read_slow(std::size_t addr);
     void write_slow(std::size_t addr, std::uint64_t value);
-    void update_fast_path() {
-        fast_path_ = injector_ == nullptr && check_words_.empty();
-    }
+    void update_fast_path() { fast_path_ = injector_ == nullptr && !protected_(); }
 
-    // Paged-backing helpers (defined in sram.cpp). Raw accessors return
-    // the stored bits; an absent page reads as zero data with a
-    // consistent zero check word.
-    bool protected_() const { return !check_words_.empty() || paged_protected_; }
-    Page* find_page(std::size_t page_index);
-    const Page* find_page(std::size_t page_index) const;
-    Page& touch_page(std::size_t page_index);
-    std::uint64_t raw_word(std::size_t addr) const;
-    std::uint64_t raw_check(std::size_t addr) const;
-    void store_word(std::size_t addr, std::uint64_t data);
-    void store_check(std::size_t addr, std::uint64_t check);
+    bool protected_() const { return check_words_.size() != 0; }
 
     std::string name_;
     unsigned word_bits_;
@@ -227,16 +207,12 @@ private:
     Clock& clock_;
     unsigned ports_;
     std::size_t num_words_ = 0;
-    bool paged_ = false;
-    /// Dense backing (empty in paged mode, so the inline fast lane's
-    /// bounds check routes paged accesses to the slow lane).
-    std::vector<std::uint64_t> words_;
-    /// Sparse backing, keyed by addr / kPageWords. Absent = all-zero.
-    std::unordered_map<std::size_t, Page> pages_;
+    /// Every path that writes a check word also writes its data word (or
+    /// finds it touched already), so the data array's touched pages cover
+    /// the check array's and the sweeps walk `words_` alone.
+    WordArray words_;
     fault::EccCodec codec_;
-    std::vector<std::uint64_t> check_words_;  ///< dense mode; empty until protected
-    bool paged_protected_ = false;            ///< paged mode protection flag
-    std::uint64_t zero_check_ = 0;            ///< codec_.encode(0) when protected
+    WordArray check_words_;  ///< empty until protected
     fault::FaultInjector* injector_ = nullptr;
     bool fast_path_ = true;  ///< no codec, no injector: take the inline lane
     SramStats stats_;

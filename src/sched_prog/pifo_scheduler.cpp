@@ -1,6 +1,7 @@
 #include "sched_prog/pifo_scheduler.hpp"
 
 #include "common/assert.hpp"
+#include "fault/errors.hpp"
 
 namespace wfqs::sched_prog {
 
@@ -66,16 +67,31 @@ bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
         retry_.emplace(packet.id, ranks);
         throw;
     }
-    if (start_queue_) promote_eligible(now);
+    if (start_queue_) {
+        // The packet is stored, so the enqueue has succeeded: a promotion
+        // fault must not reach the driver, whose retry would store the
+        // packet twice. The faulted entry stays at the start-queue head,
+        // and the next dequeue promotes it again; a lasting fault surfaces
+        // there, to the driver's recovery.
+        try {
+            promote_eligible(now);
+        } catch (const fault::FaultError&) {
+        }
+    }
     return true;
+}
+
+void PifoScheduler::promote_head(const baselines::QueueEntry& head) {
+    // Insert before popping, so a faulted insert loses nothing.
+    primary_->insert(slots_[head.payload].rank, head.payload);
+    start_queue_->pop_min();
 }
 
 void PifoScheduler::promote_eligible(net::TimeNs now) {
     const std::uint64_t horizon = rank_->eligibility_horizon(now);
     while (const auto head = start_queue_->peek_min()) {
         if (head->tag > horizon) break;
-        const auto moved = start_queue_->pop_min();
-        primary_->insert(slots_[moved->payload].rank, moved->payload);
+        promote_head(*head);
     }
 }
 
@@ -86,8 +102,7 @@ std::optional<net::Packet> PifoScheduler::do_dequeue(net::TimeNs now) {
             // Under an exact eligibility clock every backlogged head has
             // S <= V(t), so an empty eligible set is quantization
             // rounding: force the head across rather than idle the link.
-            const auto moved = start_queue_->pop_min();
-            primary_->insert(slots_[moved->payload].rank, moved->payload);
+            promote_head(*start_queue_->peek_min());
         }
     }
     const auto entry = primary_->pop_min();

@@ -68,6 +68,7 @@ private:
     std::uint32_t allocate_slot(std::uint64_t rank, scheduler::BufferRef ref,
                                 std::uint32_t size_bytes);
     void release_slot(std::uint32_t slot);
+    void promote_head(const baselines::QueueEntry& head);
     void promote_eligible(net::TimeNs now);
 
     Config config_;

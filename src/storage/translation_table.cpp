@@ -121,10 +121,6 @@ void TranslationTable::poke(std::uint64_t value, std::optional<Addr> addr) {
 }
 
 void TranslationTable::clear() {
-    if (!tiered_) {
-        for (std::uint64_t value = 0; value < entries(); ++value) sram_.poke(value, 0);
-        return;
-    }
     bulk_.clear();
     sram_.wipe();
 }

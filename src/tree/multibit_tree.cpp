@@ -273,9 +273,9 @@ void MultibitTree::clear_sector(unsigned sector) {
     WFQS_REQUIRE(sector < B, "sector index exceeds root width");
 
     // Count the markers that disappear so marker_count_ stays exact. The
-    // sweep only visits nonzero leaf words (live backing pages on paged
-    // SRAM levels), so invalidating a sector of a 2^26-node leaf costs
-    // time proportional to its markers, not its address space.
+    // sweep only visits the SRAM leaf level's touched pages, so
+    // invalidating a sector of a 2^26-node leaf costs time proportional
+    // to its markers, not its address space.
     const unsigned leaf = g.levels - 1;
     std::uint64_t removed = 0;
     if (g.levels == 1) {

@@ -1,15 +1,18 @@
 // Unit tests for src/common: bit helpers, fixed point, RNG, statistics,
-// and the table formatter.
+// the table formatter, and the zero-paged word array.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/word_array.hpp"
 
 namespace wfqs {
 namespace {
@@ -350,6 +353,120 @@ TEST(TextTable, NumFormatting) {
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(TextTable::num(std::uint64_t{42}), "42");
     EXPECT_EQ(TextTable::num(std::int64_t{-7}), "-7");
+}
+
+// ---------------------------------------------------------- word array
+
+constexpr std::size_t kPage = WordArray::kPageWords;
+
+std::vector<std::size_t> touched_page_list(const WordArray& a) {
+    std::set<std::size_t> pages;
+    a.for_each_touched(0, a.size(), [&](std::size_t i) { pages.insert(i / kPage); });
+    return {pages.begin(), pages.end()};
+}
+
+std::vector<std::pair<std::size_t, std::uint64_t>> nonzero_words(const WordArray& a) {
+    std::vector<std::pair<std::size_t, std::uint64_t>> out;
+    a.for_each_nonzero([&](std::size_t i, std::uint64_t w) { out.emplace_back(i, w); });
+    return out;
+}
+
+TEST(WordArray, UntouchedWordsReadZero) {
+    const WordArray a(3 * kPage + 7);
+    EXPECT_EQ(a.size(), 3 * kPage + 7);
+    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a.get(i), 0u) << i;
+    EXPECT_EQ(a.touched_pages(), 0u);  // reading commits nothing
+    EXPECT_TRUE(nonzero_words(a).empty());
+}
+
+TEST(WordArray, WritesTouchOnlyTheirPage) {
+    WordArray a(4 * kPage);
+    a[kPage + 3] = 0xAB;
+    a[kPage + 9] ^= 0x10;
+    EXPECT_EQ(a.get(kPage + 3), 0xABu);
+    EXPECT_EQ(a.get(kPage + 9), 0x10u);
+    EXPECT_EQ(a.touched_pages(), 1u);
+    EXPECT_EQ(touched_page_list(a), std::vector<std::size_t>{1});
+}
+
+TEST(WordArray, PartialPageClearZeroesOnlyItsRange) {
+    WordArray a(2 * kPage);
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = i + 1;
+    a.clear(10, 20);
+    a.clear(kPage - 5, 10);  // straddles the page boundary
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const bool cleared = (i >= 10 && i < 30) || (i >= kPage - 5 && i < kPage + 5);
+        ASSERT_EQ(a.get(i), cleared ? 0u : i + 1) << i;
+    }
+    EXPECT_EQ(a.touched_pages(), 2u);  // partly live pages stay committed
+}
+
+TEST(WordArray, WholePageClearReleasesThePage) {
+    WordArray a(4 * kPage + 100);  // last page is partial
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = ~std::uint64_t{0};
+    ASSERT_EQ(a.touched_pages(), 5u);
+    // [kPage - 1, 3 * kPage + 1) covers pages 1 and 2 whole, 0 and 3 in part.
+    a.clear(kPage - 1, 2 * kPage + 2);
+    EXPECT_EQ(touched_page_list(a), (std::vector<std::size_t>{0, 3, 4}));
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const bool cleared = i >= kPage - 1 && i < 3 * kPage + 1;
+        ASSERT_EQ(a.get(i), cleared ? 0u : ~std::uint64_t{0}) << i;
+    }
+    // Clearing the tail to the end releases the partial last page too.
+    a.clear(4 * kPage, 100);
+    EXPECT_EQ(touched_page_list(a), (std::vector<std::size_t>{0, 3}));
+    // A released page is writable again and reads back what was written.
+    a[kPage + 1] = 5;
+    EXPECT_EQ(a.get(kPage + 1), 5u);
+    EXPECT_EQ(a.get(kPage + 2), 0u);
+    a.clear();
+    EXPECT_EQ(a.touched_pages(), 0u);
+    EXPECT_TRUE(nonzero_words(a).empty());
+    EXPECT_THROW(a.clear(a.size(), 1), std::invalid_argument);
+}
+
+TEST(WordArray, SweepVisitsTouchedPagesOnlyInIndexOrder) {
+    // 2^26 words: the leaf bitmap of a 32-bit tag space. Only address
+    // space is reserved; three written pages are all the sweep visits.
+    WordArray a(std::size_t{1} << 26);
+    a[(std::size_t{1} << 26) - 1] = 3;
+    a[5 * kPage + 2] = 1;
+    a[5 * kPage + 1] = 7;
+    a[40'000 * kPage] = 2;
+    a[40'000 * kPage] = 0;  // touched, but zero again
+    EXPECT_EQ(a.touched_pages(), 3u);
+    const std::size_t last_page = ((std::size_t{1} << 26) - 1) / kPage;
+    EXPECT_EQ(touched_page_list(a), (std::vector<std::size_t>{5, 40'000, last_page}));
+    const std::vector<std::pair<std::size_t, std::uint64_t>> want = {
+        {5 * kPage + 1, 7}, {5 * kPage + 2, 1}, {(std::size_t{1} << 26) - 1, 3}};
+    EXPECT_EQ(nonzero_words(a), want);
+    // A ranged walk is clipped to the range as well as to touched pages.
+    std::size_t visited = 0;
+    a.for_each_touched(5 * kPage + 100, 50'000 * kPage, [&](std::size_t) { ++visited; });
+    EXPECT_EQ(visited, (kPage - 100) + kPage);
+}
+
+TEST(WordArray, MoveKeepsContents) {
+    WordArray a(3 * kPage);
+    a[2] = 11;
+    a[2 * kPage + 4] = 22;
+    WordArray b(std::move(a));
+    EXPECT_EQ(b.size(), 3 * kPage);
+    EXPECT_EQ(b.get(2), 11u);
+    EXPECT_EQ(b.get(2 * kPage + 4), 22u);
+    EXPECT_EQ(b.touched_pages(), 2u);
+    WordArray c(1);
+    c = std::move(b);
+    EXPECT_EQ(c.get(2 * kPage + 4), 22u);
+    EXPECT_EQ(c.touched_pages(), 2u);
+    std::vector<WordArray> levels;  // reallocation moves every element
+    for (int i = 0; i < 9; ++i) {
+        levels.emplace_back(kPage);
+        levels.back()[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(i) + 1;
+    }
+    for (int i = 0; i < 9; ++i)
+        EXPECT_EQ(levels[static_cast<std::size_t>(i)].get(static_cast<std::size_t>(i)),
+                  static_cast<std::uint64_t>(i) + 1);
 }
 
 }  // namespace

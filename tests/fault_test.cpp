@@ -24,6 +24,22 @@ TEST(EccCodec, NoneHasNoCheckBits) {
     EXPECT_EQ(d.data, 0xDEADBEEFu);
 }
 
+TEST(EccCodec, ZeroDataEncodesToZeroCheck) {
+    // Sram storage relies on this: an untouched word is zero data with a
+    // zero check word, which must decode clean under every protection.
+    for (const auto protection : {fault::Protection::kNone, fault::Protection::kParity,
+                                  fault::Protection::kSecded}) {
+        for (const unsigned width : {1u, 8u, 12u, 26u, 32u, 57u, 64u}) {
+            fault::EccCodec codec(protection, width);
+            EXPECT_EQ(codec.encode(0), 0u)
+                << fault::to_string(protection) << " w" << width;
+            const auto d = codec.decode(0, 0);
+            EXPECT_EQ(d.status, fault::DecodeStatus::kClean);
+            EXPECT_EQ(d.data, 0u);
+        }
+    }
+}
+
 TEST(EccCodec, ParityDetectsSingleFlipButCannotCorrect) {
     fault::EccCodec codec(fault::Protection::kParity, 16);
     EXPECT_EQ(codec.check_width(), 1u);

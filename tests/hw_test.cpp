@@ -2,6 +2,11 @@
 // the simulation inventory.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/bits.hpp"
+#include "common/rng.hpp"
 #include "fault/errors.hpp"
 #include "hw/clock.hpp"
 #include "hw/simulation.hpp"
@@ -172,6 +177,88 @@ TEST(Sram, FastPathMasksWordWidth) {
     m.write(0, 0x1FF);
     clk.advance();
     EXPECT_EQ(m.read(0), 0xFFu);
+}
+
+TEST(Sram, ProtectedMultiPageBlockMatchesReference) {
+    // A SECDED block of many host pages driven against a plain vector:
+    // every maintenance path must agree with the reference word for word,
+    // and paths that only zero memory must not commit pages.
+    constexpr std::size_t kPage = WordArray::kPageWords;
+    constexpr std::size_t kWords = 8 * kPage + 100;
+    constexpr unsigned kBits = 26;
+    Clock clk;
+    Sram m("big", kWords, kBits, clk);
+    std::vector<std::uint64_t> ref(kWords, 0);
+    Rng rng(17);
+    const auto write = [&](std::size_t addr, std::uint64_t value) {
+        clk.advance();
+        m.write(addr, value);
+        ref[addr] = value & low_mask(kBits);
+    };
+    const fault::EccCodec codec(fault::Protection::kSecded, kBits);
+    const auto expect_matches = [&](const char* step) {
+        for (std::size_t a = 0; a < kWords; ++a) {
+            ASSERT_EQ(m.peek_corrected(a), ref[a]) << step << " @" << a;
+            ASSERT_EQ(m.peek_check(a), codec.encode(ref[a])) << step << " @" << a;
+        }
+        for (const auto& [first, count] : {std::pair<std::size_t, std::size_t>{0, kWords},
+                                           {kPage - 3, 2 * kPage + 9},
+                                           {5 * kPage + 17, 1}}) {
+            std::vector<std::pair<std::size_t, std::uint64_t>> got, want;
+            m.for_each_nonzero_word_in_range(
+                first, count, [&](std::size_t a, std::uint64_t w) { got.emplace_back(a, w); });
+            for (std::size_t a = first; a < first + count; ++a)
+                if (ref[a] != 0) want.emplace_back(a, ref[a]);
+            ASSERT_EQ(got, want) << step << " range " << first << "+" << count;
+        }
+    };
+
+    // Unprotected writes to pages 0..5, then protection re-encodes them.
+    for (int i = 0; i < 600; ++i) write(rng.next_below(6 * kPage), rng.next_u64());
+    m.enable_protection(fault::Protection::kSecded);
+    expect_matches("enable_protection");
+    for (int i = 0; i < 600; ++i) write(rng.next_below(6 * kPage), rng.next_u64());
+    expect_matches("write");
+
+    // A partial-page clear, then one covering pages 2 and 3 whole.
+    clk.advance();
+    m.flash_clear(10, 40);
+    std::fill_n(ref.begin() + 10, 40, 0);
+    clk.advance();
+    m.flash_clear(2 * kPage - 7, 2 * kPage + 14);
+    std::fill_n(ref.begin() + static_cast<std::ptrdiff_t>(2 * kPage - 7), 2 * kPage + 14, 0);
+    expect_matches("flash_clear");
+
+    // poke(0) on the untouched pages 2 and 7 commits nothing.
+    const std::size_t pages = m.touched_pages();
+    m.poke(2 * kPage + 5, 0);
+    m.poke(7 * kPage, 0);
+    EXPECT_EQ(m.touched_pages(), pages);
+    m.poke(7 * kPage + 1, 0x3FF);
+    ref[7 * kPage + 1] = 0x3FF;
+    expect_matches("poke");
+
+    // Single upsets are corrected by a read (scrub) or by relaunder; a
+    // double upset becomes authoritative raw data under relaunder.
+    write(100, 0x155);
+    write(5 * kPage + 1, 0x2AA);
+    write(8 * kPage + 50, 0x777);
+    m.corrupt(100, 1u << 4);
+    m.corrupt(5 * kPage + 1, 0, 1);
+    m.corrupt(8 * kPage + 50, 0b11);
+    clk.advance();
+    EXPECT_EQ(m.read(100), 0x155u);
+    EXPECT_EQ(m.stats().ecc_corrected, 1u);
+    m.relaunder();
+    EXPECT_EQ(m.stats().ecc_corrected, 2u);
+    EXPECT_EQ(m.stats().ecc_uncorrectable, 1u);
+    ref[8 * kPage + 50] = 0x777 ^ 0b11;
+    expect_matches("relaunder");
+
+    m.wipe();
+    std::fill(ref.begin(), ref.end(), 0);
+    EXPECT_EQ(m.touched_pages(), 0u);
+    expect_matches("wipe");
 }
 
 TEST(Simulation, InventoryAggregates) {

@@ -278,6 +278,29 @@ TEST(PifoScheduler, SimDriverRecoversFromFaultedInserts) {
     EXPECT_FALSE(sched.has_packets());
 }
 
+TEST(PifoScheduler, Wf2qPromotionFaultLosesAndDuplicatesNothing) {
+    // WF2Q+ promotes eligible start-queue entries into the service queue
+    // after the arriving packet is stored. A faulted promotion insert must
+    // neither lose the entry being promoted nor fail the enqueue, whose
+    // retry by the driver would store the packet a second time.
+    std::uint64_t recoveries = 0;
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.policy = RankPolicy::kWf2q;
+    cfg.rank.link_rate_bps = 20'000'000;
+    sched_prog::PifoScheduler sched(cfg, faulty_model_factory(25, &recoveries));
+    auto flows = net::make_mixed_profile(1'000'000'000 / 5, 13);
+    net::SimDriver driver(20'000'000);
+    const auto result = driver.run(sched, flows);
+
+    EXPECT_EQ(result.offered_packets, 400u);
+    std::set<std::uint64_t> departed;
+    for (const auto& r : result.records)
+        EXPECT_TRUE(departed.insert(r.packet.id).second)
+            << "packet " << r.packet.id << " departed twice";
+    EXPECT_EQ(result.records.size() + result.dropped_packets, result.offered_packets);
+    EXPECT_FALSE(sched.has_packets());
+}
+
 TEST(PifoScheduler, RetriedInsertChargesRankOnce) {
     // A faulted insert is retried by the driver with the same packet. The
     // retry must reuse the ranks of the first attempt, not charge the

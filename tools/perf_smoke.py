@@ -35,9 +35,10 @@ seed-deterministic metrics only):
      not that SP-PIFO/RIFO became exact;
   4. every committed policy.* row must still be present in the fresh run.
 
-host.* wall-clock gauges vary machine to machine and are skipped by the
-default mode's name scan; the same-process ratio of check 4 is the one
-host.* value that gates. Exits 0 when every check passes, 1 otherwise.
+The same-process ratio of check 4 is the one host.* value that gates.
+The artifacts' only other host.* gauge, host.elapsed_ms, is wall-clock
+and machine-dependent, and the default mode's name scan skips it.
+Exits 0 when every check passes, 1 otherwise.
 """
 
 import argparse

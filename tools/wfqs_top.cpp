@@ -137,10 +137,16 @@ std::string bar(double frac, std::size_t width = 20) {
 void render_live(const LiveStatus& st, const std::string& path, bool stale) {
     std::printf("wfqs_top — %s  (elapsed %.2fs%s)\n", path.c_str(), st.elapsed_s,
                 stale ? ", STALE" : "");
+    // Benches that attach the profiler without a driver count no stage
+    // items; they get no stage table rather than a header without rows.
     TextTable t({"stage", "items"});
-    for (const StageRow& s : st.stages)
-        if (s.items != 0) t.add_row({s.name, TextTable::num(s.items)});
-    std::printf("%s", t.render().c_str());
+    bool any_items = false;
+    for (const StageRow& s : st.stages) {
+        if (s.items == 0) continue;
+        t.add_row({s.name, TextTable::num(s.items)});
+        any_items = true;
+    }
+    if (any_items) std::printf("%s", t.render().c_str());
     if (!st.banks.empty()) {
         std::uint64_t max_occ = 1;
         for (const BankRow& b : st.banks)
