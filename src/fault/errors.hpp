@@ -91,6 +91,7 @@ enum class IntegrityKind {
     kTranslationDangling, ///< translation entry pointing outside the store
     kTreeInvariant,       ///< marked tree node with no marked child, etc.
     kTagOrder,            ///< stored list is no longer sorted
+    kUnknownPayload,      ///< sorter returned a payload nothing was stored under
 };
 
 inline const char* to_string(IntegrityKind kind) {
@@ -102,6 +103,7 @@ inline const char* to_string(IntegrityKind kind) {
         case IntegrityKind::kTranslationDangling: return "translation-dangling";
         case IntegrityKind::kTreeInvariant: return "tree-invariant";
         case IntegrityKind::kTagOrder: return "tag-order";
+        case IntegrityKind::kUnknownPayload: return "unknown-payload";
     }
     return "unknown";
 }

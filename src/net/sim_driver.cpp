@@ -1,7 +1,6 @@
 #include "net/sim_driver.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/assert.hpp"
 #include "fault/errors.hpp"
@@ -20,10 +19,26 @@ struct PendingArrival {
     std::uint32_t size_bytes;
     std::uint64_t seq;   ///< tie-break: stable across sources
 
-    bool operator>(const PendingArrival& o) const {
-        return time != o.time ? time > o.time : seq > o.seq;
+    bool operator<(const PendingArrival& o) const {
+        return time != o.time ? time < o.time : seq < o.seq;
     }
 };
+
+/// Restore the min-heap order of `heap` after its top was overwritten.
+void sift_down_top(std::vector<PendingArrival>& heap) {
+    const PendingArrival top = heap.front();
+    const std::size_t n = heap.size();
+    std::size_t pos = 0;
+    while (true) {
+        std::size_t child = 2 * pos + 1;
+        if (child >= n) break;
+        if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+        if (!(heap[child] < top)) break;
+        heap[pos] = heap[child];
+        pos = child;
+    }
+    heap[pos] = top;
+}
 
 }  // namespace
 
@@ -64,17 +79,20 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         profiler_->stage(Stage::kSched).add_items(sched_items);
         gen_items = sched_items = 0;
     };
-    std::priority_queue<PendingArrival, std::vector<PendingArrival>,
-                        std::greater<PendingArrival>>
-        arrivals;
+    // Min-heap of each source's next arrival in (time, seq) order, one
+    // entry per source that still has arrivals.
+    std::vector<PendingArrival> arrivals;
+    arrivals.reserve(flows.size());
     std::uint64_t seq = 0;
 
     for (std::size_t i = 0; i < flows.size(); ++i) {
         const net::FlowId id = sched.add_flow(flows[i].weight);
         WFQS_ASSERT_MSG(id == i, "scheduler must number flows sequentially");
         if (const auto a = flows[i].source->next())
-            arrivals.push(PendingArrival{a->time_ns, i, a->size_bytes, seq++});
+            arrivals.push_back(PendingArrival{a->time_ns, i, a->size_bytes, seq++});
     }
+    std::make_heap(arrivals.begin(), arrivals.end(),
+                   [](const PendingArrival& a, const PendingArrival& b) { return b < a; });
 
     std::uint64_t next_packet_id = 0;
     TimeNs link_free_at = 0;
@@ -99,13 +117,19 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
     };
 
     auto deliver_next_arrival = [&] {
-        const PendingArrival a = arrivals.top();
-        arrivals.pop();
+        const PendingArrival a = arrivals.front();
+        // The source's successor takes the delivered arrival's place: one
+        // sift-down. An exhausted source leaves the heap.
         if (const auto next = flows[a.source].source->next()) {
             WFQS_ASSERT_MSG(next->time_ns >= a.time,
                             "traffic source went backwards in time");
-            arrivals.push(PendingArrival{next->time_ns, a.source,
-                                         next->size_bytes, seq++});
+            arrivals.front() =
+                PendingArrival{next->time_ns, a.source, next->size_bytes, seq++};
+            sift_down_top(arrivals);
+        } else {
+            arrivals.front() = arrivals.back();
+            arrivals.pop_back();
+            if (!arrivals.empty()) sift_down_top(arrivals);
         }
         now = std::max(now, a.time);
         const Packet pkt{next_packet_id++, static_cast<FlowId>(a.source),
@@ -140,7 +164,7 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         }
         const TimeNs service_start = std::max(link_free_at, now);
         // Arrivals up to the service decision take part in it.
-        if (!arrivals.empty() && arrivals.top().time <= service_start) {
+        if (!arrivals.empty() && arrivals.front().time <= service_start) {
             deliver_next_arrival();
             continue;
         }

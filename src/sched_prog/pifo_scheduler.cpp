@@ -1,5 +1,7 @@
 #include "sched_prog/pifo_scheduler.hpp"
 
+#include <string>
+
 #include "common/assert.hpp"
 #include "fault/errors.hpp"
 
@@ -22,25 +24,12 @@ net::FlowId PifoScheduler::add_flow(std::uint32_t weight) {
     return rank_->add_flow(weight);
 }
 
-std::uint32_t PifoScheduler::allocate_slot(std::uint64_t rank,
-                                           scheduler::BufferRef ref,
-                                           std::uint32_t size_bytes) {
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    }
-    slots_[slot] = Pending{rank, ref, size_bytes, true};
-    return slot;
-}
-
-void PifoScheduler::release_slot(std::uint32_t slot) {
-    WFQS_ASSERT(slot < slots_.size() && slots_[slot].in_use);
-    slots_[slot].in_use = false;
-    free_slots_.push_back(slot);
+void PifoScheduler::expect_held(baselines::TagQueue* queue, std::uint32_t payload) {
+    if (buffer_.holds(payload)) return;
+    if (queue) queue->pop_min();
+    throw fault::IntegrityError(fault::IntegrityKind::kUnknownPayload,
+                                "sorter returned payload " + std::to_string(payload) +
+                                    ", which names no stored packet");
 }
 
 bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
@@ -52,17 +41,17 @@ bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
                               ? retry_->second
                               : rank_->on_arrival(packet, now);
     retry_.reset();
-    const std::uint32_t slot = allocate_slot(ranks.rank, *ref, packet.size_bytes);
+    if (*ref >= rank_of_.size()) rank_of_.resize(*ref + 1);
+    rank_of_[*ref] = ranks.rank;
     try {
         // Two-stage: wait in start order until eligible.
         if (start_queue_)
-            start_queue_->insert(ranks.start, slot);
+            start_queue_->insert(ranks.start, *ref);
         else
-            primary_->insert(ranks.rank, slot);
+            primary_->insert(ranks.rank, *ref);
     } catch (...) {
-        // A faulted insert must not leak: free the slot and the buffer
-        // cell so a post-recovery retry re-stores the packet cleanly.
-        release_slot(slot);
+        // A faulted insert must not leak: free the buffer slot so a
+        // post-recovery retry re-stores the packet cleanly.
         buffer_.retrieve(*ref);
         retry_.emplace(packet.id, ranks);
         throw;
@@ -72,7 +61,8 @@ bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
         // fault must not reach the driver, whose retry would store the
         // packet twice. The faulted entry stays at the start-queue head,
         // and the next dequeue promotes it again; a lasting fault surfaces
-        // there, to the driver's recovery.
+        // there, to the driver's recovery. (A head whose payload names no
+        // stored packet is discarded here without reaching the driver.)
         try {
             promote_eligible(now);
         } catch (const fault::FaultError&) {
@@ -82,8 +72,9 @@ bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
 }
 
 void PifoScheduler::promote_head(const baselines::QueueEntry& head) {
+    expect_held(start_queue_.get(), head.payload);
     // Insert before popping, so a faulted insert loses nothing.
-    primary_->insert(slots_[head.payload].rank, head.payload);
+    primary_->insert(rank_of_[head.payload], head.payload);
     start_queue_->pop_min();
 }
 
@@ -107,10 +98,9 @@ std::optional<net::Packet> PifoScheduler::do_dequeue(net::TimeNs now) {
     }
     const auto entry = primary_->pop_min();
     if (!entry) return std::nullopt;
-    const Pending& p = slots_[entry->payload];
-    release_slot(entry->payload);
-    const net::Packet packet = buffer_.retrieve(p.ref);
-    rank_->on_service(packet, now, p.rank);
+    expect_held(nullptr, entry->payload);
+    const net::Packet packet = buffer_.retrieve(entry->payload);
+    rank_->on_service(packet, now, rank_of_[entry->payload]);
     return packet;
 }
 
@@ -136,12 +126,16 @@ std::optional<std::uint32_t> PifoScheduler::peek_size(net::TimeNs now) {
     // Promotion is service-order-invariant (dequeue at the same `now`
     // promotes identically), so peeking may promote.
     if (start_queue_) promote_eligible(now);
-    if (const auto head = primary_->peek_min())
-        return slots_[head->payload].size_bytes;
+    if (const auto head = primary_->peek_min()) {
+        expect_held(primary_.get(), head->payload);
+        return buffer_.peek(head->payload).size_bytes;
+    }
     if (start_queue_) {
         // dequeue() would force-promote exactly this head and serve it.
-        if (const auto head = start_queue_->peek_min())
-            return slots_[head->payload].size_bytes;
+        if (const auto head = start_queue_->peek_min()) {
+            expect_held(start_queue_.get(), head->payload);
+            return buffer_.peek(head->payload).size_bytes;
+        }
     }
     return std::nullopt;
 }

@@ -59,15 +59,12 @@ public:
     std::size_t eligible_packets() const { return primary_->size(); }
 
 private:
-    struct Pending {
-        std::uint64_t rank;
-        scheduler::BufferRef ref;
-        std::uint32_t size_bytes;
-        bool in_use = false;
-    };
-    std::uint32_t allocate_slot(std::uint64_t rank, scheduler::BufferRef ref,
-                                std::uint32_t size_bytes);
-    void release_slot(std::uint32_t slot);
+    /// Checks that a sorter head names a stored packet. A sorter can
+    /// return a payload it never stored (after a parity rebuild): that
+    /// head is taken off `queue` (null: the caller already popped it) and
+    /// reported as a fault::IntegrityError, which the driver counts and
+    /// recovers from.
+    void expect_held(baselines::TagQueue* queue, std::uint32_t payload);
     void promote_head(const baselines::QueueEntry& head);
     void promote_eligible(net::TimeNs now);
 
@@ -75,9 +72,10 @@ private:
     std::unique_ptr<RankFunction> rank_;
     std::unique_ptr<baselines::TagQueue> primary_;      ///< service-rank order
     std::unique_ptr<baselines::TagQueue> start_queue_;  ///< two-stage only
+    /// Sorter payloads are buffer refs.
     scheduler::SharedPacketBuffer buffer_;
-    std::vector<Pending> slots_;
-    std::vector<std::uint32_t> free_slots_;
+    /// Service rank of each stored packet, indexed by buffer ref.
+    std::vector<std::uint64_t> rank_of_;
     /// {packet id, ranks} of the last faulted insert, for its retry.
     std::optional<std::pair<std::uint64_t, RankSet>> retry_;
 };

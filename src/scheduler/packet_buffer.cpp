@@ -7,10 +7,6 @@
 
 namespace wfqs::scheduler {
 
-namespace {
-constexpr BufferRef kEnd = ~BufferRef{0};
-}
-
 SharedPacketBuffer::SharedPacketBuffer() : SharedPacketBuffer(Config{}) {}
 
 SharedPacketBuffer::SharedPacketBuffer(const Config& config)
@@ -18,10 +14,6 @@ SharedPacketBuffer::SharedPacketBuffer(const Config& config)
       total_cells_(config.total_bytes / config.cell_bytes) {
     WFQS_REQUIRE(config.cell_bytes >= 16, "cells must hold at least a header");
     WFQS_REQUIRE(total_cells_ >= 2, "buffer too small for any packet");
-    cells_.resize(total_cells_);
-    free_cells_.reserve(total_cells_);
-    for (std::size_t i = total_cells_; i-- > 0;)
-        free_cells_.push_back(static_cast<BufferRef>(i));
 }
 
 std::size_t SharedPacketBuffer::cells_for(std::uint32_t bytes) const {
@@ -31,51 +23,38 @@ std::size_t SharedPacketBuffer::cells_for(std::uint32_t bytes) const {
 
 std::optional<BufferRef> SharedPacketBuffer::store(const net::Packet& packet) {
     const std::size_t need = cells_for(packet.size_bytes);
-    if (free_cells_.size() < need) {
+    if (total_cells_ - used_cells_ < need) {
         ++drops_;
         return std::nullopt;
     }
-    BufferRef head = kEnd;
-    BufferRef prev = kEnd;
-    for (std::size_t i = 0; i < need; ++i) {
-        const BufferRef c = free_cells_.back();
-        free_cells_.pop_back();
-        cells_[c].next = kEnd;
-        cells_[c].is_head = false;
-        if (head == kEnd) {
-            head = c;
-        } else {
-            cells_[prev].next = c;
-        }
-        prev = c;
+    BufferRef ref;
+    if (!free_slots_.empty()) {
+        ref = free_slots_.back();
+        free_slots_.pop_back();
+    } else {
+        ref = static_cast<BufferRef>(slots_.size());
+        slots_.emplace_back();
     }
-    cells_[head].packet = packet;
-    cells_[head].is_head = true;
+    slots_[ref] = Slot{packet, true};
+    used_cells_ += need;
     ++stored_packets_;
-    peak_used_cells_ = std::max(peak_used_cells_, used_cells());
-    return head;
+    peak_used_cells_ = std::max(peak_used_cells_, used_cells_);
+    return ref;
 }
 
 const net::Packet& SharedPacketBuffer::peek(BufferRef ref) const {
-    WFQS_ASSERT_MSG(ref < cells_.size() && cells_[ref].is_head,
-                    "peek of an address that is not a stored packet head");
-    return cells_[ref].packet;
+    WFQS_ASSERT_MSG(holds(ref), "peek of an address that is not a stored packet head");
+    return slots_[ref].packet;
 }
 
 net::Packet SharedPacketBuffer::retrieve(BufferRef ref) {
-    WFQS_ASSERT_MSG(ref < cells_.size() && cells_[ref].is_head,
-                    "retrieve of an address that is not a stored packet head");
-    const net::Packet packet = cells_[ref].packet;
-    BufferRef c = ref;
-    while (c != kEnd) {
-        const BufferRef next = cells_[c].next;
-        cells_[c].is_head = false;
-        free_cells_.push_back(c);
-        c = next;
-    }
-    WFQS_ASSERT(stored_packets_ > 0);
+    WFQS_ASSERT_MSG(holds(ref), "retrieve of an address that is not a stored packet head");
+    Slot& slot = slots_[ref];
+    slot.in_use = false;
+    free_slots_.push_back(ref);
+    used_cells_ -= cells_for(slot.packet.size_bytes);
     --stored_packets_;
-    return packet;
+    return slot.packet;
 }
 
 }  // namespace wfqs::scheduler

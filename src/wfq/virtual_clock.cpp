@@ -40,36 +40,65 @@ WfqVirtualTime::WfqVirtualTime(std::uint64_t rate_bps) : rate_(rate_bps) {
 
 FlowId WfqVirtualTime::add_flow(std::uint32_t weight) {
     WFQS_REQUIRE(weight > 0, "flow weight must be positive");
-    flows_.push_back(Flow{weight, Fixed{}, false});
+    flows_.push_back(Flow{weight, Fixed{}});
     return static_cast<FlowId>(flows_.size() - 1);
+}
+
+void WfqVirtualTime::place(std::size_t pos, const BusyEntry& entry) {
+    busy_[pos] = entry;
+    flows_[entry.flow].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+void WfqVirtualTime::sift_up(std::size_t pos) {
+    const BusyEntry entry = busy_[pos];
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / 2;
+        if (!(entry.last_finish < busy_[parent].last_finish)) break;
+        place(pos, busy_[parent]);
+        pos = parent;
+    }
+    place(pos, entry);
+}
+
+void WfqVirtualTime::sift_down(std::size_t pos) {
+    const BusyEntry entry = busy_[pos];
+    const std::size_t n = busy_.size();
+    while (true) {
+        std::size_t child = 2 * pos + 1;
+        if (child >= n) break;
+        if (child + 1 < n && busy_[child + 1].last_finish < busy_[child].last_finish)
+            ++child;
+        if (!(busy_[child].last_finish < entry.last_finish)) break;
+        place(pos, busy_[child]);
+        pos = child;
+    }
+    place(pos, entry);
+}
+
+void WfqVirtualTime::pop_busy() {
+    flows_[busy_.front().flow].heap_pos = kIdle;
+    const BusyEntry last = busy_.back();
+    busy_.pop_back();
+    if (busy_.empty()) return;
+    busy_.front() = last;
+    sift_down(0);
 }
 
 void WfqVirtualTime::advance_to(TimeNs now) {
     WFQS_ASSERT_MSG(now >= t_, "time must be non-decreasing");
-    while (true) {
-        // Discard stale idle events (the flow received more packets since).
-        while (!idle_events_.empty()) {
-            const IdleEvent& e = idle_events_.top();
-            const Flow& f = flows_[e.flow];
-            if (!f.busy || f.last_finish != e.at_virtual) {
-                idle_events_.pop();
-                continue;
-            }
-            break;
-        }
-        if (busy_weight_ == 0 || idle_events_.empty()) break;
-
-        const IdleEvent e = idle_events_.top();
-        const TimeNs cross = t_ + ns_for(e.at_virtual - v_, busy_weight_, rate_);
+    // Drain, in finish order, every flow whose backlog GPS clears by `now`.
+    // Flows that tie on last_finish drain at one (V, t): the second
+    // crossing is zero virtual time after the first.
+    while (!busy_.empty()) {
+        const BusyEntry& top = busy_.front();
+        const TimeNs cross = t_ + ns_for(top.last_finish - v_, busy_weight_, rate_);
         if (cross > now) break;
-        // The flow's backlog drains at virtual time e.at_virtual.
-        idle_events_.pop();
-        v_ = e.at_virtual;
+        v_ = top.last_finish;
         t_ = cross;
-        Flow& f = flows_[e.flow];
-        f.busy = false;
-        WFQS_ASSERT(busy_weight_ >= f.weight);
-        busy_weight_ -= f.weight;
+        const std::uint32_t weight = flows_[top.flow].weight;
+        WFQS_ASSERT(busy_weight_ >= weight);
+        busy_weight_ -= weight;
+        pop_busy();
     }
     if (busy_weight_ > 0 && now > t_) v_ += dv_for(now - t_, rate_, busy_weight_);
     t_ = now;
@@ -85,11 +114,15 @@ Fixed WfqVirtualTime::on_arrival(FlowId flow, TimeNs now, std::uint32_t size_bit
     const Fixed start = max(v_, f.last_finish);
     const Fixed finish = start + Fixed::ratio(size_bits, f.weight);
     f.last_finish = finish;
-    if (!f.busy) {
-        f.busy = true;
+    if (f.heap_pos == kIdle) {
         busy_weight_ += f.weight;
+        busy_.push_back(BusyEntry{finish, flow});
+        sift_up(busy_.size() - 1);
+    } else {
+        // A busy flow's key only grows.
+        busy_[f.heap_pos].last_finish = finish;
+        sift_down(f.heap_pos);
     }
-    idle_events_.push(IdleEvent{finish, flow});
     last_start_ = start;
     return finish;
 }

@@ -1,10 +1,14 @@
 // Fixed-point WFQ virtual-time tracker — the model of the paper's WFQ tag
 // computation circuit (ref [8], Fig. 1 left block).
 //
-// Tracks the GPS virtual time V(t) with the classic iterated-deletion
-// algorithm, in Q32.32 fixed point (the hardware representation feeding
-// the tag quantizer). Real time is integer nanoseconds. Exposes the
-// paper's eq. (1):
+// Tracks the GPS virtual time V(t) in Q32.32 fixed point (the hardware
+// representation feeding the tag quantizer). Real time is integer
+// nanoseconds. V advances at r/Φ over the busy weight Φ; a flow leaves
+// the busy set when V reaches the finish tag of its newest packet. The
+// busy flows sit in an indexed min-heap keyed by that tag, one entry per
+// flow: an arrival to a busy flow sifts its entry down, an arrival to an
+// idle flow inserts it, and each drain pops the top, so the heap never
+// holds more entries than there are flows. Exposes the paper's eq. (1):
 //
 //     t_next = t + (M_min − V(t)) · Φ / r
 //
@@ -19,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/fixed_point.hpp"
@@ -58,16 +61,20 @@ public:
     std::uint64_t busy_weight() const { return busy_weight_; }
 
 private:
+    static constexpr std::uint32_t kIdle = ~std::uint32_t{0};
     struct Flow {
         std::uint32_t weight;
-        Fixed last_finish;  ///< F of the flow's newest packet
-        bool busy = false;
+        Fixed last_finish;               ///< F of the flow's newest packet
+        std::uint32_t heap_pos = kIdle;  ///< index in busy_, kIdle when idle
     };
-    struct IdleEvent {
-        Fixed at_virtual;
+    struct BusyEntry {
+        Fixed last_finish;  ///< copy of the flow's key, kept next to the id
         FlowId flow;
-        bool operator>(const IdleEvent& o) const { return at_virtual > o.at_virtual; }
     };
+    void place(std::size_t pos, const BusyEntry& entry);
+    void sift_up(std::size_t pos);
+    void sift_down(std::size_t pos);
+    void pop_busy();
 
     std::uint64_t rate_;
     Fixed v_;
@@ -75,8 +82,7 @@ private:
     std::uint64_t busy_weight_ = 0;
     Fixed last_start_;
     std::vector<Flow> flows_;
-    std::priority_queue<IdleEvent, std::vector<IdleEvent>, std::greater<IdleEvent>>
-        idle_events_;
+    std::vector<BusyEntry> busy_;  ///< min-heap of busy flows by last_finish
 };
 
 /// Maps fixed-point virtual finish times onto the sorter's integer tag

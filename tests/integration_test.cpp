@@ -16,6 +16,7 @@
 #include "analysis/fairness.hpp"
 #include "analysis/throughput.hpp"
 #include "baselines/factory.hpp"
+#include "fingerprint.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "sched_prog/hierarchy.hpp"
@@ -187,24 +188,6 @@ TEST(Integration, AllFairQueueingVariantsRunTheSorter) {
 }
 
 // ------------------------------------------------ departure fingerprints
-
-/// FNV-1a over every record's (id, service start, departure): one 64-bit
-/// value pins a whole schedule.
-std::uint64_t departure_fingerprint(const net::SimResult& result) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (8 * byte)) & 0xFF;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    for (const auto& r : result.records) {
-        mix(r.packet.id);
-        mix(r.service_start_ns);
-        mix(r.departure_ns);
-    }
-    return h;
-}
 
 /// bench/qos_comparison's workload at seed shift 0: 4 VoIP flows (w=8)
 /// against 6 saturating on-off Pareto flows (w=1) for 2 s.

@@ -2,6 +2,7 @@
 // helpers, and the simulation driver's event mechanics.
 #include <gtest/gtest.h>
 
+#include "fingerprint.hpp"
 #include "net/packet.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
@@ -220,6 +221,47 @@ TEST(SimDriver, CountsDropsWhenBufferTiny) {
     const auto result = driver.run(fifo, flows);
     EXPECT_GT(result.dropped_packets, 0u);
     EXPECT_EQ(result.records.size() + result.dropped_packets, result.offered_packets);
+}
+
+TEST(SimDriver, SimultaneousArrivalsKeepSourceOrder) {
+    // Arrivals that share a timestamp reach the scheduler in (time, seq)
+    // order, where seq numbers each arrival when its source's previous one
+    // is delivered: source order at time 0, and the order of the previous
+    // deliveries after that. Flows 0, 1, 3 and 4 share a 1 ms period,
+    // flow 2 fires every 0.5 ms, flow 3 runs dry after three packets and
+    // flow 5 never emits. A FIFO with a 40-cell buffer on a slow link
+    // makes both the departures and the tail drops depend on that order.
+    scheduler::FifoScheduler fifo({64 * 40, 64});
+    const TimeNs end = kSecond / 100;
+    std::vector<FlowSpec> flows;
+    flows.push_back({std::make_unique<CbrSource>(1'000'000, 125, 0, end), 1});
+    flows.push_back({std::make_unique<CbrSource>(1'000'000, 125, 0, end), 1});
+    flows.push_back({std::make_unique<CbrSource>(2'000'000, 125, 0, end), 1});
+    flows.push_back({std::make_unique<CbrSource>(4'000'000, 500, 0, 3'000'000), 1});
+    flows.push_back({std::make_unique<CbrSource>(8'000'000, 1000, 0, end), 1});
+    flows.push_back({std::make_unique<CbrSource>(1'000'000, 125, end, end), 1});
+    SimDriver driver(4'000'000);
+    const auto result = driver.run(fifo, flows);
+
+    ASSERT_GE(result.all_arrivals.size(), 5u);
+    for (FlowId f = 0; f < 5; ++f) {
+        EXPECT_EQ(result.all_arrivals[f].flow, f);
+        EXPECT_EQ(result.all_arrivals[f].arrival_ns, 0u);
+    }
+    EXPECT_GT(result.dropped_packets, 0u);
+    EXPECT_EQ(result.records.size() + result.dropped_packets, result.offered_packets);
+
+    Fingerprint arrivals;
+    for (const auto& p : result.all_arrivals) {
+        arrivals.mix(p.id);
+        arrivals.mix(p.flow);
+        arrivals.mix(p.arrival_ns);
+    }
+    // Recorded from the std::priority_queue arrival merge.
+    EXPECT_EQ(result.offered_packets, 53u);
+    EXPECT_EQ(result.dropped_packets, 12u);
+    EXPECT_EQ(arrivals.value(), 0xb90a91216a74895aULL);
+    EXPECT_EQ(departure_fingerprint(result), 0x55cb9de518822331ULL);
 }
 
 }  // namespace

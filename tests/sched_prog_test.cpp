@@ -329,6 +329,72 @@ TEST(PifoScheduler, RetriedInsertChargesRankOnce) {
     EXPECT_EQ(faulted, clean);
 }
 
+/// TagQueue decorator that, at its `at`-th insert, also files an entry
+/// whose payload no packet was ever stored under, the way a parity
+/// rebuild can resurrect a stale payload word.
+class PhantomPayloadQueue final : public baselines::TagQueue {
+public:
+    static constexpr std::uint32_t kPhantom = 0xFFF0;  // fits a 16-bit payload field
+
+    PhantomPayloadQueue(std::unique_ptr<TagQueue> inner, std::uint64_t at)
+        : inner_(std::move(inner)), at_(at) {}
+
+    void insert(std::uint64_t tag, std::uint32_t payload) override {
+        inner_->insert(tag, payload);
+        if (++inserts_ == at_) inner_->insert(tag, kPhantom);
+    }
+    std::optional<baselines::QueueEntry> pop_min() override { return inner_->pop_min(); }
+    std::optional<baselines::QueueEntry> peek_min() override { return inner_->peek_min(); }
+    std::size_t size() const override { return inner_->size(); }
+    std::string name() const override { return inner_->name(); }
+    std::string model() const override { return inner_->model(); }
+    std::string complexity() const override { return inner_->complexity(); }
+    bool recover() override { return inner_->recover(); }
+
+private:
+    std::unique_ptr<TagQueue> inner_;
+    std::uint64_t at_;
+    std::uint64_t inserts_ = 0;
+};
+
+TEST(PifoScheduler, PhantomPayloadIsACountedFault) {
+    // A sorter entry whose payload the buffer does not hold is discarded
+    // with an IntegrityError; the driver counts the fault, recovers and
+    // retries, and every real packet is still delivered or dropped.
+    sched_prog::PifoScheduler::Config cfg;
+    cfg.rank.link_rate_bps = 20'000'000;
+    sched_prog::PifoScheduler sched(cfg, [] {
+        return std::make_unique<PhantomPayloadQueue>(
+            baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16}),
+            40);
+    });
+    auto flows = net::make_mixed_profile(1'000'000'000 / 5, 13);
+    obs::MetricsRegistry reg;
+    net::SimDriver driver(20'000'000);
+    driver.attach_metrics(reg);
+    const auto result = driver.run(sched, flows);
+
+    EXPECT_EQ(result.sorter_faults, 1u);
+    EXPECT_EQ(reg.counter_values().at("net.sorter_faults"), 1u);
+    EXPECT_EQ(result.records.size() + result.dropped_packets, result.offered_packets);
+    std::set<std::uint64_t> departed;
+    for (const auto& r : result.records) EXPECT_TRUE(departed.insert(r.packet.id).second);
+    EXPECT_FALSE(sched.has_packets());
+
+    // The same check on a direct pop: the phantom is consumed, so the
+    // scheduler stays usable.
+    sched_prog::PifoScheduler direct(cfg, [] {
+        return std::make_unique<PhantomPayloadQueue>(
+            baselines::make_tag_queue(baselines::QueueKind::Heap, {}), 1);
+    });
+    const auto f = direct.add_flow(1);
+    ASSERT_TRUE(direct.enqueue(make_packet(1, f, 500, 0), 0));
+    EXPECT_EQ(direct.queued_packets(), 2u);
+    EXPECT_EQ(direct.dequeue(10)->id, 1u);
+    EXPECT_THROW(direct.peek_size(20), fault::IntegrityError);
+    EXPECT_FALSE(direct.has_packets());
+}
+
 // --------------------------------------------------- SpPifoScheduler
 
 TEST(SpPifoScheduler, PushUpAndPushDown) {

@@ -4,7 +4,13 @@
 // tests live with HierScheduler in sched_prog_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/factory.hpp"
+#include "common/rng.hpp"
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "sched_prog/pifo_scheduler.hpp"
@@ -56,6 +62,77 @@ TEST(PacketBuffer, TracksPeakOccupancy) {
     const auto a = buf.store({1, 0, 640, 0});
     buf.retrieve(*a);
     EXPECT_EQ(buf.peak_used_cells(), 10u);
+}
+
+TEST(PacketBuffer, ChurnMatchesCellCountModel) {
+    // Random store/retrieve churn against a plain model that charges
+    // ceil(max(size, 1) / cell) cells to each live packet: admission,
+    // drops, occupancy and its peak must agree after every step. Small
+    // pools make tail drops common; 1-byte and 1500-byte packets sit at
+    // both ends of the cell count.
+    struct Pool {
+        std::size_t total_bytes;
+        std::size_t cell_bytes;
+    };
+    const Pool pools[] = {{64 * 2, 64}, {64 * 24, 64}, {100 * 16, 16},
+                          {1500 * 7, 128}, {64 * 1024, 64}};
+    Rng rng(4242);
+    for (const Pool& pool : pools) {
+        SCOPED_TRACE(std::to_string(pool.total_bytes) + "/" +
+                     std::to_string(pool.cell_bytes));
+        SharedPacketBuffer buf({pool.total_bytes, pool.cell_bytes});
+        const std::size_t total = pool.total_bytes / pool.cell_bytes;
+        ASSERT_EQ(buf.total_cells(), total);
+        const auto cells = [&](std::uint32_t bytes) {
+            return (std::max<std::uint32_t>(bytes, 1) + pool.cell_bytes - 1) /
+                   pool.cell_bytes;
+        };
+        std::vector<std::pair<BufferRef, net::Packet>> live;
+        std::size_t used = 0, peak = 0;
+        std::uint64_t drops = 0, id = 0;
+        for (int step = 0; step < 6000; ++step) {
+            if (live.empty() || rng.next_bool(0.55)) {
+                std::uint32_t size;
+                switch (rng.next_below(4)) {
+                    case 0: size = 1; break;
+                    case 1: size = 1500; break;
+                    case 2: size = static_cast<std::uint32_t>(pool.cell_bytes); break;
+                    default: size = static_cast<std::uint32_t>(rng.next_range(1, 1500));
+                }
+                const net::Packet p{id++, static_cast<net::FlowId>(step % 3), size,
+                                    static_cast<net::TimeNs>(step)};
+                const auto ref = buf.store(p);
+                const bool fits = total - used >= cells(size);
+                ASSERT_EQ(ref.has_value(), fits) << "step " << step;
+                if (ref) {
+                    ASSERT_TRUE(buf.holds(*ref));
+                    used += cells(size);
+                    peak = std::max(peak, used);
+                    live.emplace_back(*ref, p);
+                } else {
+                    ++drops;
+                }
+            } else {
+                const std::size_t pick = rng.next_below(live.size());
+                const auto [ref, want] = live[pick];
+                ASSERT_EQ(buf.peek(ref).id, want.id);
+                const net::Packet got = buf.retrieve(ref);
+                ASSERT_EQ(got.id, want.id);
+                ASSERT_EQ(got.size_bytes, want.size_bytes);
+                ASSERT_FALSE(buf.holds(ref));
+                used -= cells(want.size_bytes);
+                live[pick] = live.back();
+                live.pop_back();
+            }
+            ASSERT_EQ(buf.used_cells(), used) << "step " << step;
+            ASSERT_EQ(buf.peak_used_cells(), peak) << "step " << step;
+            ASSERT_EQ(buf.drops(), drops) << "step " << step;
+            ASSERT_EQ(buf.stored_packets(), live.size()) << "step " << step;
+        }
+        EXPECT_GT(drops, 0u);
+        for (const auto& [ref, p] : live) EXPECT_EQ(buf.retrieve(ref).id, p.id);
+        EXPECT_EQ(buf.used_cells(), 0u);
+    }
 }
 
 // ---------------------------------------------------- helper workload

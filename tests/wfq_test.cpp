@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "fingerprint.hpp"
 #include "sched_prog/rank.hpp"
 #include "wfq/gps_fluid.hpp"
 #include "wfq/virtual_clock.hpp"
@@ -190,6 +191,136 @@ TEST(WfqVirtualTime, Eq1ScalesWithBusyWeight) {
     EXPECT_NEAR(static_cast<double>(two_flows.eq1_next_departure(m2, 0)),
                 2.0 * static_cast<double>(one_flow.eq1_next_departure(m1, 0)),
                 1e3);
+}
+
+TEST(WfqVirtualTime, TiedFlowsMatchGpsFluid) {
+    // Flows 0-2 (weights 1, 2, 4) always arrive together with sizes in
+    // proportion to their weights, so they share every finish tag and
+    // drain at one virtual time; flows 3 and 4 arrive at random and keep
+    // the system busy across some of those drains.
+    const std::uint64_t rate = 1'000'000;
+    WfqVirtualTime vt(rate);
+    GpsFluidSim gps(static_cast<double>(rate));
+    const std::uint32_t weights[] = {1, 2, 4, 3, 5};
+    for (const std::uint32_t w : weights) {
+        vt.add_flow(w);
+        gps.add_flow(static_cast<double>(w));
+    }
+    const auto arrive = [&](FlowId f, TimeNs t, std::uint32_t bits) {
+        const Fixed tag = vt.on_arrival(f, t, bits);
+        const int pkt = gps.arrive(static_cast<int>(f), static_cast<double>(t) / 1e9,
+                                   static_cast<double>(bits));
+        EXPECT_NEAR(tag.to_double(), gps.virtual_finish(pkt),
+                    1e-3 + gps.virtual_finish(pkt) * 1e-6);
+        EXPECT_NEAR(vt.virtual_time().to_double(), gps.virtual_time(),
+                    1e-3 + gps.virtual_time() * 1e-6);
+        return tag;
+    };
+    Rng rng(77);
+    TimeNs t = 0;
+    int full_drains = 0;
+    for (int round = 0; round < 400; ++round) {
+        // Gaps from 0.1 to ~60 ms: some drain the tied group (or the whole
+        // system) before the next round, some land in the middle of it.
+        t += 100'000 + rng.next_below(60'000'000);
+        vt.advance_to(t);
+        if (vt.busy_weight() == 0) ++full_drains;
+        const std::uint32_t base = 500 + static_cast<std::uint32_t>(rng.next_below(2000));
+        const Fixed tied = arrive(0, t, base);
+        EXPECT_EQ(arrive(1, t, 2 * base), tied);
+        EXPECT_EQ(arrive(2, t, 4 * base), tied);
+        for (FlowId f = 3; f < 5; ++f)
+            if (rng.next_bool(0.6))
+                arrive(f, t, 512 + static_cast<std::uint32_t>(rng.next_below(6000)));
+    }
+    EXPECT_GT(full_drains, 20);
+    EXPECT_LT(full_drains, 380);
+}
+
+TEST(WfqVirtualTime, RankStreamMatchesPinnedFingerprint) {
+    // Every RankSet of the WFQ and WF2Q+ rank functions, the WF2Q+
+    // eligibility horizon at each service, and the raw clock's V, busy
+    // weight and eq. (1) departure after each event, over 256 flows with
+    // weights 1..8 on a 1 Gb/s link. Every fourth round opens with a
+    // burst to every flow, sized in proportion to its weight, after a
+    // quiet gap: flows idle at that point share one finish tag and drain
+    // at the same virtual time. Random rounds in between keep part of the
+    // flow set busy. Ranks are unquantized (granularity 32), so the pin
+    // covers the clock bit for bit. The value was recorded from the clock
+    // that queued one idle event per arrival and pruned stale ones lazily.
+    sched_prog::RankConfig cfg;
+    cfg.link_rate_bps = 1'000'000'000;
+    cfg.tag_granularity_bits = static_cast<int>(Fixed::kFracBits);
+    auto wfq = sched_prog::make_rank_function(sched_prog::RankPolicy::kWfq, cfg);
+    auto wf2q = sched_prog::make_rank_function(sched_prog::RankPolicy::kWf2q, cfg);
+    WfqVirtualTime clock(cfg.link_rate_bps);
+    constexpr std::uint32_t kFlows = 256;
+    for (std::uint32_t i = 0; i < kFlows; ++i) {
+        const std::uint32_t w = 1 + i % 8;
+        wfq->add_flow(w);
+        wf2q->add_flow(w);
+        clock.add_flow(w);
+    }
+    Fingerprint fp;
+    std::uint64_t id = 0;
+    std::uint64_t tied_drains = 0;
+    const auto arrive = [&](FlowId flow, TimeNs now, std::uint32_t bytes) {
+        net::Packet p;
+        p.id = id++;
+        p.flow = flow;
+        p.size_bytes = bytes;
+        p.arrival_ns = now;
+        const auto a = wfq->on_arrival(p, now);
+        const auto b = wf2q->on_arrival(p, now);
+        const Fixed finish = clock.on_arrival(flow, now, p.size_bits());
+        // The raw clock sees the same advance_to calls as the WF2Q+ one.
+        EXPECT_EQ(b.rank, finish.raw());
+        EXPECT_EQ(b.start, clock.last_start().raw());
+        fp.mix(a.rank);
+        fp.mix(a.start);
+        fp.mix(b.rank);
+        fp.mix(b.start);
+        fp.mix(clock.virtual_time().raw());
+        fp.mix(clock.busy_weight());
+    };
+    const auto serve = [&](TimeNs now) {
+        const std::uint64_t busy_before = clock.busy_weight();
+        const std::uint64_t horizon = wf2q->eligibility_horizon(now);
+        const TimeNs next = clock.eq1_next_departure(
+            clock.virtual_time() + Fixed::from_int(4000), now);
+        EXPECT_EQ(horizon, clock.virtual_time().raw());
+        // More than one flow's weight left the busy set at once.
+        if (busy_before - clock.busy_weight() > 8) ++tied_drains;
+        fp.mix(horizon);
+        fp.mix(clock.busy_weight());
+        fp.mix(next);
+    };
+    Rng rng(2024);
+    TimeNs now = 0;
+    for (int round = 0; round < 48; ++round) {
+        if (round % 4 == 0) {
+            now += 2'000'000 + rng.next_below(2'000'000);
+            const std::uint32_t base = 40 + static_cast<std::uint32_t>(rng.next_below(150));
+            for (FlowId f = 0; f < kFlows; ++f) arrive(f, now, base * (1 + f % 8));
+        }
+        for (int i = 0; i < 300; ++i) {
+            now += rng.next_below(12'000);
+            if (rng.next_bool(0.7)) {
+                arrive(static_cast<FlowId>(rng.next_below(kFlows)), now,
+                       64 + static_cast<std::uint32_t>(rng.next_below(1437)));
+            } else {
+                serve(now);
+            }
+        }
+        // Walk across the drain points in small steps.
+        for (int i = 0; i < 40; ++i) {
+            now += 25'000;
+            serve(now);
+        }
+    }
+    EXPECT_GT(tied_drains, 10u);
+    EXPECT_EQ(id, 13187u);
+    EXPECT_EQ(fp.value(), 0xcb3f40be1595dc07ULL);
 }
 
 // ----------------------------------------------------------- tag family
