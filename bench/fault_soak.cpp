@@ -5,7 +5,7 @@
 // (the same oracle the conformance harness uses).
 //
 //     fault_soak [--ops N] [--rate P] [--stuck N] [--ecc none|parity|secded]
-//                [--flight PATH] [--seed N] [--json PATH] [--timeseries]
+//                [--flight PATH] [--seed N] [--json PATH]
 //                [--reshard] [--banks N] [--live PATH]
 //
 //   --ops    verified operations to complete        (default 1,000,000)
@@ -28,12 +28,12 @@
 //            zero-loss criterion for fenced-bank drains. A FaultError
 //            goes through ShardedSorter::recover(), so an uncorrectable
 //            bank rebuild exercises degraded-mode fencing end to end.
-//   --live   reshard mode only: live status file for `wfqs_top --watch`,
-//            with per-bank `bank <i> state <s> occ ...` rows.
-//
-// With --timeseries the soak also ticks a windowed timeline (ops, faults,
-// injected flips, backlog) every 4096 verified ops on the hw-cycle axis;
-// it lands in the JSON export's "timeseries" section.
+//   --live   reshard mode only: live status file for `wfqs_top`. The
+//            soak loop rewrites it (tmp+rename) every 4096 verified ops,
+//            at most once per 50 ms of wall time, plus a final frame
+//            after the loop: a `# wfqs-live v1` header, `elapsed_s`, and
+//            one `bank <i> state <s> occ <n> wait <cycles> ops <n>` row
+//            per bank ever attached.
 //
 // A faulted operation triggers the Scrubber (relaunder → audit →
 // repair/rebuild), the reference is resynchronised from the recovered
@@ -46,13 +46,12 @@
 // with the line_rate drive pattern, so the exported JSON shows the
 // robustness layer's hot-path cost next to BENCH_line_rate.json.
 #include <algorithm>
-#include <array>
-#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -66,7 +65,6 @@
 #include "hw/simulation.hpp"
 #include "obs/bench_io.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/profiler.hpp"
 #include "ref/ref_sorter.hpp"
 
 using namespace wfqs;
@@ -117,8 +115,8 @@ Options parse_options(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--reshard") == 0) {
             opt.reshard = true;
         }
-        // --json/--seed/--timeseries belong to BenchReporter; anything
-        // else is ignored.
+        // --json/--seed belong to BenchReporter; anything else is
+        // ignored.
     }
     return opt;
 }
@@ -200,77 +198,32 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
         obs::FlightRecorder::arm_crash_dump(opt.flight);
     }
 
-    // Per-bank snapshots for the live dashboard: the soak loop refreshes
-    // these single-writer atomics every tick and the profiler's sampler
-    // thread renders them as `bank <i> ...` rows — no cross-thread reads
-    // of the sorter itself.
-    constexpr std::size_t kMaxBanks = 64;
-    struct BankSnap {
-        std::atomic<std::uint64_t> occ{0}, wait{0}, ops{0};
-        std::atomic<int> state{0};
-    };
-    static std::array<BankSnap, kMaxBanks> snaps;
-    std::atomic<unsigned> snap_count{0};
-    std::atomic<std::uint64_t> live_done{0}, live_moves{0};
-    const auto refresh_snaps = [&] {
-        const unsigned n =
-            std::min<unsigned>(sorter.num_banks(), static_cast<unsigned>(kMaxBanks));
-        for (unsigned i = 0; i < n; ++i) {
-            snaps[i].occ.store(sorter.bank(i).size(), std::memory_order_relaxed);
-            snaps[i].wait.store(sorter.bank_wait_cycles(i), std::memory_order_relaxed);
-            snaps[i].ops.store(sorter.bank_ops(i), std::memory_order_relaxed);
-            snaps[i].state.store(static_cast<int>(sorter.bank_state(i)),
-                                 std::memory_order_relaxed);
+    // Live dashboard: the loop itself rewrites the status file wfqs_top
+    // polls, at its tick and at most once per kLivePeriod of wall time.
+    constexpr auto kLivePeriod = std::chrono::milliseconds(50);
+    const auto live_t0 = std::chrono::steady_clock::now();
+    auto live_due = live_t0;
+    const auto write_live = [&](bool final_frame) {
+        if (opt.live.empty()) return;
+        const auto now = std::chrono::steady_clock::now();
+        if (!final_frame && now < live_due) return;
+        live_due = now + kLivePeriod;
+        const std::string tmp = opt.live + ".tmp";
+        {
+            std::ofstream out(tmp);
+            if (!out) return;  // the live view is best-effort
+            out << "# wfqs-live v1\n"
+                << "elapsed_s " << std::chrono::duration<double>(now - live_t0).count()
+                << "\n";
+            for (unsigned i = 0; i < sorter.num_banks(); ++i)
+                out << "bank " << i << " state " << bank_state_name(sorter.bank_state(i))
+                    << " occ " << sorter.bank(i).size() << " wait "
+                    << sorter.bank_wait_cycles(i) << " ops " << sorter.bank_ops(i)
+                    << "\n";
         }
-        snap_count.store(n, std::memory_order_release);
-        live_done.store(done, std::memory_order_relaxed);
-        live_moves.store(sorter.stats().migration_moves, std::memory_order_relaxed);
+        std::rename(tmp.c_str(), opt.live.c_str());
     };
 
-    std::optional<obs::HostProfiler> profiler;
-    if (!opt.live.empty()) {
-        profiler.emplace(256, std::chrono::milliseconds(50));
-        profiler->add_counter("soak.ops", [&live_done] {
-            return live_done.load(std::memory_order_relaxed);
-        });
-        profiler->add_counter("soak.migration_moves", [&live_moves] {
-            return live_moves.load(std::memory_order_relaxed);
-        });
-        profiler->add_live_line([&snap_count] {
-            std::ostringstream os;
-            const unsigned n = snap_count.load(std::memory_order_acquire);
-            for (unsigned i = 0; i < n; ++i) {
-                if (i != 0) os << "\n";
-                os << "bank " << i << " state "
-                   << bank_state_name(static_cast<core::BankState>(
-                          snaps[i].state.load(std::memory_order_relaxed)))
-                   << " occ " << snaps[i].occ.load(std::memory_order_relaxed)
-                   << " wait " << snaps[i].wait.load(std::memory_order_relaxed)
-                   << " ops " << snaps[i].ops.load(std::memory_order_relaxed);
-            }
-            return os.str();
-        });
-        refresh_snaps();
-        profiler->set_live_path(opt.live);
-        profiler->start_sampling();
-    }
-
-    const bool timeline = reporter.timeseries_enabled();
-    if (timeline) {
-        auto& ts = reporter.series();
-        ts.add_counter("soak.ops", [&done] { return done; });
-        ts.add_counter("soak.faults_recovered",
-                       [&faults_recovered] { return faults_recovered; });
-        ts.add_counter("soak.migration_moves", [&sorter] {
-            return sorter.stats().migration_moves;
-        });
-        ts.add_gauge("soak.active_banks", [&sorter] {
-            return static_cast<double>(sorter.active_banks());
-        });
-        ts.add_gauge("soak.backlog", [&oracle] {
-            return static_cast<double>(oracle.size());
-        });
-    }
     constexpr std::uint64_t kTickEvery = 4096;
     std::uint64_t next_tick = kTickEvery;
     // Live add/fence churn: ~16 reshard events over the run, alternating
@@ -338,7 +291,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
             ++done;
             if (done >= next_churn) {
                 next_churn += churn_every;
-                if (add_next && sorter.num_banks() < kMaxBanks) {
+                if (add_next) {
                     if (const auto idx = controller.add_bank()) {
                         ++banks_added;
                         obs::flight_record(obs::FlightEventKind::kReshard,
@@ -362,9 +315,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
                 add_next = !add_next;
             }
             if (done >= next_tick) {
-                if (timeline)
-                    reporter.series().tick(static_cast<double>(sim.clock().now()));
-                refresh_snaps();
+                write_live(false);
                 next_tick += kTickEvery;
             }
         } catch (const fault::FaultError&) {
@@ -397,10 +348,7 @@ int run_reshard_soak(const Options& opt, obs::BenchReporter& reporter,
                             static_cast<double>(migrating_ops)
                       : 0.0;
 
-    if (profiler) {
-        refresh_snaps();
-        profiler->stop_sampling();
-    }
+    write_live(true);
 
     const auto& rstats = controller.stats();
     std::uint64_t detached = 0;
@@ -565,23 +513,6 @@ int main(int argc, char** argv) {
         obs::FlightRecorder::arm_crash_dump(opt.flight);
     }
 
-    // Windowed soak timeline on the hw-cycle axis, ticked every 4096
-    // verified ops. Probes read the loop's own tallies.
-    const bool timeline = reporter.timeseries_enabled();
-    if (timeline) {
-        auto& ts = reporter.series();
-        ts.add_counter("soak.ops", [&done] { return done; });
-        ts.add_counter("soak.faults_recovered",
-                       [&faults_recovered] { return faults_recovered; });
-        ts.add_counter("soak.flips_injected", [&injector] {
-            return injector.stats().transient_flips;
-        });
-        ts.add_gauge("soak.backlog", [&oracle] {
-            return static_cast<double>(oracle.size());
-        });
-    }
-    constexpr std::uint64_t kTickEvery = 4096;
-    std::uint64_t next_tick = kTickEvery;
     const std::uint64_t c0 = sim.clock().now();
 
     while (done < opt.ops) {
@@ -629,10 +560,6 @@ int main(int argc, char** argv) {
                 ++pops;
             }
             ++done;
-            if (timeline && done >= next_tick) {
-                reporter.series().tick(static_cast<double>(sim.clock().now()));
-                next_tick += kTickEvery;
-            }
         } catch (const fault::FaultError&) {
             // The op died mid-flight; the scrubber restores consistency
             // and the sorter becomes the authority on what survived.

@@ -24,7 +24,6 @@
 #include "net/sim_driver.hpp"
 #include "net/traffic_gen.hpp"
 #include "obs/bench_io.hpp"
-#include "obs/profiler.hpp"
 #include "sched_prog/pifo_scheduler.hpp"
 
 using namespace wfqs;
@@ -113,7 +112,7 @@ void run_host_throughput_phase(obs::BenchReporter& reporter) {
 // SimDriver. The scheduler owns its own hw::Simulation, so the
 // `hw.cycles` counter registered in main stays byte-exact for the
 // perf-smoke gate.
-void run_driver_phase(obs::BenchReporter& reporter, obs::HostProfiler& prof,
+void run_driver_phase(obs::BenchReporter& reporter,
                       baselines::SorterBackend backend) {
     constexpr std::uint64_t kRate = 50'000'000;
     constexpr net::TimeNs kHorizon = 5'000'000'000;  // 5 s of traffic
@@ -122,18 +121,10 @@ void run_driver_phase(obs::BenchReporter& reporter, obs::HostProfiler& prof,
     auto flows = net::make_mixed_profile(kHorizon, reporter.seed(3));
     net::SimDriver driver(kRate);
     driver.attach_metrics(reporter.registry());
-    const bool telemetry =
-        reporter.timeseries_enabled() || reporter.live_path().has_value();
-    if (telemetry) {
-        if (reporter.live_path()) prof.set_live_path(*reporter.live_path());
-        driver.set_profiler(&prof);
-        prof.start_sampling();
-    }
     const auto t0 = std::chrono::steady_clock::now();
     const net::SimResult r = driver.run(sched, flows);
     const double sec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (telemetry) prof.stop_sampling();
 
     // One host "op" per scheduler engagement: enqueue + dequeue per
     // delivered packet, enqueue alone per drop.
@@ -144,10 +135,6 @@ void run_driver_phase(obs::BenchReporter& reporter, obs::HostProfiler& prof,
                 static_cast<unsigned long long>(r.offered_packets));
     std::printf("  host throughput      : %.0f ops/s\n\n",
                 sec > 0 ? static_cast<double>(ops) / sec : 0.0);
-    if (telemetry) {
-        std::printf("%s\n", prof.to_table().c_str());
-        reporter.set_profiler(&prof);
-    }
 }
 
 }  // namespace
@@ -222,10 +209,7 @@ int main(int argc, char** argv) {
     run_host_throughput_phase(reporter);
 
     // --- driver phase --------------------------------------------------
-    // Outlives reporter.finish(): the reporter exports its per-stage
-    // timeline under "host_profile" when --timeseries is on.
-    obs::HostProfiler prof;
-    run_driver_phase(reporter, prof, backend);
+    run_driver_phase(reporter, backend);
 
     reporter.finish();
     return 0;

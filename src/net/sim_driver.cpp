@@ -5,7 +5,6 @@
 #include "common/assert.hpp"
 #include "fault/errors.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
 
 namespace wfqs::net {
@@ -68,17 +67,6 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         metrics_ ? &metrics_->counter("net.delivered_packets") : nullptr;
     obs::Counter* m_faults = metrics_ ? &metrics_->counter("net.sorter_faults") : nullptr;
     obs::CycleHistogram* m_delay = metrics_ ? &metrics_->histogram("net.delay_us") : nullptr;
-    // Item counts flush to the profiler in blocks so the per-op cost is a
-    // local increment, not an atomic RMW.
-    using Stage = obs::HostProfiler::Stage;
-    constexpr std::uint64_t kItemFlush = 1024;
-    std::uint64_t gen_items = 0, sched_items = 0;
-    const auto flush_items = [&] {
-        if (!profiler_) return;
-        profiler_->stage(Stage::kGen).add_items(gen_items);
-        profiler_->stage(Stage::kSched).add_items(sched_items);
-        gen_items = sched_items = 0;
-    };
     // Min-heap of each source's next arrival in (time, seq) order, one
     // entry per source that still has arrivals.
     std::vector<PendingArrival> arrivals;
@@ -138,7 +126,6 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         ++result.offered_packets;
         WFQS_TRACE_INSTANT("arrival", "net", ns_to_trace_us(a.time));
         if (m_offered) m_offered->inc();
-        if (profiler_ && ++gen_items % kItemFlush == 0) flush_items();
         bool accepted = false;
         for (int attempt = 0;; ++attempt) {
             try {
@@ -187,7 +174,6 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
             WFQS_ASSERT_MSG(faulted, "scheduler claimed packets but gave none");
             continue;
         }
-        if (profiler_) ++sched_items;
         const TimeNs done = service_start + transmission_ns(pkt->size_bytes, rate_);
         result.records.push_back(PacketRecord{*pkt, service_start, done});
         WFQS_TRACE_INSTANT("departure", "net", ns_to_trace_us(done));
@@ -198,7 +184,6 @@ SimResult SimDriver::run(scheduler::Scheduler& sched, std::vector<FlowSpec>& flo
         result.last_departure_ns = done;
         link_free_at = done;
     }
-    flush_items();
     return result;
 }
 

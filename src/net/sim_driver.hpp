@@ -13,10 +13,6 @@
 #include "obs/metrics.hpp"
 #include "scheduler/scheduler.hpp"
 
-namespace wfqs::obs {
-class HostProfiler;
-}
-
 namespace wfqs::net {
 
 struct SimResult {
@@ -37,11 +33,6 @@ public:
     /// run(). The registry must outlive the driver's last run.
     void attach_metrics(obs::MetricsRegistry& registry);
 
-    /// Count offered (gen) and served (sched) packets into the profiler's
-    /// stage items, flushed in blocks (see obs::HostProfiler). The caller
-    /// owns the profiler's sampling lifecycle; null detaches.
-    void set_profiler(obs::HostProfiler* profiler) { profiler_ = profiler; }
-
     /// Registers every flow with the scheduler (in order — flow ids are
     /// the indices of `flows`) and runs to completion: all arrivals
     /// delivered and the scheduler drained. When a Tracer is installed
@@ -53,7 +44,6 @@ public:
 private:
     std::uint64_t rate_;
     obs::MetricsRegistry* metrics_ = nullptr;
-    obs::HostProfiler* profiler_ = nullptr;
 };
 
 }  // namespace wfqs::net

@@ -9,7 +9,6 @@
 
 #include "common/assert.hpp"
 #include "obs/json.hpp"
-#include "obs/profiler.hpp"
 
 namespace wfqs::obs {
 
@@ -105,66 +104,7 @@ std::string bench_backend(int argc, char** argv) {
     return "model";
 }
 
-bool bench_timeseries(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--timeseries") == 0) return true;
-    if (const char* env = std::getenv("WFQS_TIMESERIES"); env && *env)
-        return std::strcmp(env, "0") != 0;
-    return false;
-}
-
-std::optional<std::string> bench_live_path(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-        const char* a = argv[i];
-        if (std::strcmp(a, "--live") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: --live needs a path argument\n", argv[0]);
-                std::exit(2);
-            }
-            return std::string(argv[i + 1]);
-        }
-        if (std::strncmp(a, "--live=", 7) == 0) return std::string(a + 7);
-    }
-    if (const char* env = std::getenv("WFQS_LIVE"); env && *env)
-        return std::string(env);
-    return std::nullopt;
-}
-
-void write_bench_json(const MetricsRegistry& registry,
-                      const std::string& bench_name, const std::string& path,
-                      std::optional<std::uint64_t> seed) {
-    std::ofstream os(path);
-    WFQS_REQUIRE(os.good(), "cannot open metrics output file '" + path + "'");
-    JsonWriter w(os);
-    w.begin_object();
-    w.field("bench", bench_name);
-    w.field("schema", std::uint64_t{1});
-    if (seed) w.field("seed", *seed);
-    w.key("metrics");
-    registry.write_json(w);
-    w.end_object();
-    os << '\n';
-}
-
 void BenchReporter::finish() {
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  host_start_)
-            .count();
-    registry_.gauge("host.elapsed_ms").set(elapsed_ms);
-    if (timeseries_ && series_.window_count() == 0) {
-        // Whole-run fallback window: benches without a natural time axis
-        // still export a uniformly-shaped timeseries section.
-        if (series_.counter_names().empty())
-            for (const auto& [cname, v] : registry_.counter_values()) {
-                (void)v;
-                const std::string probe = cname;
-                const MetricsRegistry* reg = &registry_;
-                series_.add_counter(
-                    probe, [reg, probe] { return reg->counter_values()[probe]; });
-            }
-        series_.tick(elapsed_ms / 1000.0);
-    }
     if (!path_) return;
     try {
         std::ofstream os(*path_);
@@ -177,14 +117,6 @@ void BenchReporter::finish() {
         if (!backend_.empty()) w.field("backend", backend_);
         w.key("metrics");
         registry_.write_json(w);
-        if (timeseries_) {
-            w.key("timeseries");
-            series_.write_json(w);
-            if (profiler_) {
-                w.key("host_profile");
-                profiler_->write_json(w);
-            }
-        }
         w.end_object();
         os << '\n';
     } catch (const std::exception& e) {

@@ -24,30 +24,15 @@
 // sites distinct (see BenchReporter::seed). The resolved seed of the
 // first site is exported as a top-level "seed" field so every committed
 // artifact records how to reproduce it.
-// Telemetry riders (all benches):
-//
-//     <bench> --timeseries         (also WFQS_TIMESERIES=1)
-//     <bench> --live <path>        (also --live=<path>, WFQS_LIVE=<path>)
-//
-// --timeseries adds a windowed "timeseries" section (and, when the bench
-// attached a HostProfiler, a "host_profile" section) to the JSON export.
-// Benches that tick the reporter's TimeSeries get real windows; benches
-// that never tick still export one whole-run window, so the section's
-// shape is uniform across the suite. --live names a status file a
-// profiler-attached bench rewrites during the run for `wfqs_top`.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 
 namespace wfqs::obs {
-
-class HostProfiler;
 
 /// Resolve the export path from argv/env as described above; nullopt
 /// means "no export requested".
@@ -65,20 +50,6 @@ std::optional<std::uint64_t> bench_seed_override(int argc, char** argv);
 /// name through baselines::backend_from_name.
 std::string bench_backend(int argc, char** argv);
 
-/// `--timeseries` / WFQS_TIMESERIES=1: include windowed telemetry
-/// sections in the JSON export.
-bool bench_timeseries(int argc, char** argv);
-
-/// `--live <path>` / `--live=<path>` / WFQS_LIVE: live status file for
-/// wfqs_top; nullopt means "no live view requested".
-std::optional<std::string> bench_live_path(int argc, char** argv);
-
-/// Write the snapshot document to `path`. A resolved `seed` is emitted as
-/// a top-level "seed" field (omitted when the bench has no RNG).
-void write_bench_json(const MetricsRegistry& registry,
-                      const std::string& bench_name, const std::string& path,
-                      std::optional<std::uint64_t> seed = std::nullopt);
-
 /// The one-liner benches use: registry + "did the run ask for JSON?".
 /// finish() exports if a path was requested and reports where.
 class BenchReporter {
@@ -86,25 +57,10 @@ public:
     BenchReporter(std::string bench_name, int argc, char** argv)
         : name_(std::move(bench_name)),
           path_(bench_json_path(name_, argc, argv)),
-          seed_override_(bench_seed_override(argc, argv)),
-          timeseries_(bench_timeseries(argc, argv)),
-          live_path_(bench_live_path(argc, argv)) {}
+          seed_override_(bench_seed_override(argc, argv)) {}
 
     MetricsRegistry& registry() { return registry_; }
     const std::optional<std::string>& path() const { return path_; }
-    bool timeseries_enabled() const { return timeseries_; }
-    const std::optional<std::string>& live_path() const { return live_path_; }
-
-    /// Reporter-owned windowed recorder. Benches with a natural time axis
-    /// register probes and tick it during the run; finish() exports it
-    /// under "timeseries" when --timeseries was passed. A bench that
-    /// never ticks still gets one whole-run window (every registry
-    /// counter as a probe) so the section is uniformly present.
-    TimeSeries& series() { return series_; }
-
-    /// Include this profiler's per-stage summary and timeline in the
-    /// export (under "host_profile"); must outlive finish().
-    void set_profiler(const HostProfiler* profiler) { profiler_ = profiler; }
 
     /// Resolve the seed for one RNG seeding site. Without an override the
     /// site keeps its historical default (committed artifacts stay
@@ -123,11 +79,9 @@ public:
     /// says what produced its host-side numbers.
     void record_backend(std::string backend) { backend_ = std::move(backend); }
 
-    /// Export (if requested) and print a one-line note to stdout. Also
-    /// stamps `host.elapsed_ms` since construction into the registry
-    /// first. It measures the *host* simulation speed (it varies machine
-    /// to machine); trajectory tooling must compare modeled metrics only
-    /// and treat host.* as informational.
+    /// Write the snapshot document (if requested) and print a one-line
+    /// note to stdout. The only writer of the document described above:
+    /// a resolved seed and a recorded backend become top-level fields.
     void finish();
 
 private:
@@ -135,14 +89,8 @@ private:
     std::optional<std::string> path_;
     std::optional<std::uint64_t> seed_override_;
     std::optional<std::uint64_t> seed_;
-    bool timeseries_ = false;
-    std::optional<std::string> live_path_;
     std::string backend_;
-    const HostProfiler* profiler_ = nullptr;
-    std::chrono::steady_clock::time_point host_start_ =
-        std::chrono::steady_clock::now();
     MetricsRegistry registry_;
-    TimeSeries series_;
 };
 
 }  // namespace wfqs::obs

@@ -61,14 +61,24 @@ bool PifoScheduler::do_enqueue(const net::Packet& packet, net::TimeNs now) {
         // fault must not reach the driver, whose retry would store the
         // packet twice. The faulted entry stays at the start-queue head,
         // and the next dequeue promotes it again; a lasting fault surfaces
-        // there, to the driver's recovery. (A head whose payload names no
-        // stored packet is discarded here without reaching the driver.)
+        // there, to the driver's recovery. A head whose payload names no
+        // stored packet is already discarded, so it cannot recur: its
+        // error is held and raised by the next dequeue or peek instead.
         try {
             promote_eligible(now);
+        } catch (const fault::IntegrityError& e) {
+            if (e.kind() == fault::IntegrityKind::kUnknownPayload) phantom_ = e;
         } catch (const fault::FaultError&) {
         }
     }
     return true;
+}
+
+void PifoScheduler::raise_held_phantom() {
+    if (!phantom_) return;
+    const fault::IntegrityError e = *phantom_;
+    phantom_.reset();
+    throw e;
 }
 
 void PifoScheduler::promote_head(const baselines::QueueEntry& head) {
@@ -87,6 +97,7 @@ void PifoScheduler::promote_eligible(net::TimeNs now) {
 }
 
 std::optional<net::Packet> PifoScheduler::do_dequeue(net::TimeNs now) {
+    raise_held_phantom();
     if (start_queue_) {
         promote_eligible(now);
         if (primary_->empty() && !start_queue_->empty()) {
@@ -123,6 +134,7 @@ std::string PifoScheduler::name() const {
 }
 
 std::optional<std::uint32_t> PifoScheduler::peek_size(net::TimeNs now) {
+    raise_held_phantom();
     // Promotion is service-order-invariant (dequeue at the same `now`
     // promotes identically), so peeking may promote.
     if (start_queue_) promote_eligible(now);

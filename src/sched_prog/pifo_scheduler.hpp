@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "baselines/tag_queue.hpp"
+#include "fault/errors.hpp"
 #include "sched_prog/rank.hpp"
 #include "scheduler/packet_buffer.hpp"
 #include "scheduler/scheduler.hpp"
@@ -67,6 +68,8 @@ private:
     void expect_held(baselines::TagQueue* queue, std::uint32_t payload);
     void promote_head(const baselines::QueueEntry& head);
     void promote_eligible(net::TimeNs now);
+    /// Throws the phantom-payload error an enqueue's promotion held back.
+    void raise_held_phantom();
 
     Config config_;
     std::unique_ptr<RankFunction> rank_;
@@ -78,6 +81,9 @@ private:
     std::vector<std::uint64_t> rank_of_;
     /// {packet id, ranks} of the last faulted insert, for its retry.
     std::optional<std::pair<std::uint64_t, RankSet>> retry_;
+    /// A phantom payload discarded during an enqueue's promotion, raised
+    /// by the next dequeue/peek so the driver counts it exactly once.
+    std::optional<fault::IntegrityError> phantom_;
 };
 
 }  // namespace wfqs::sched_prog

@@ -331,9 +331,12 @@ TEST(BenchIo, EnvFallback) {
 TEST(BenchIo, WritesSnapshotDocument) {
     const std::string path =
         ::testing::TempDir() + "wfqs_obs_test_snapshot.json";
-    MetricsRegistry reg;
-    reg.counter("k").inc(9);
-    write_bench_json(reg, "unit", path);
+    const char* argv[] = {"bench", "--json", path.c_str()};
+    BenchReporter reporter("unit", 3, const_cast<char**>(argv));
+    reporter.registry().counter("k").inc(9);
+    EXPECT_EQ(reporter.seed(5), 5u);
+    reporter.record_backend("ffs");
+    reporter.finish();
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::stringstream ss;
@@ -341,6 +344,8 @@ TEST(BenchIo, WritesSnapshotDocument) {
     const std::string doc = ss.str();
     EXPECT_NE(doc.find("\"bench\":\"unit\""), std::string::npos);
     EXPECT_NE(doc.find("\"schema\":1"), std::string::npos);
+    EXPECT_NE(doc.find("\"seed\":5"), std::string::npos);
+    EXPECT_NE(doc.find("\"backend\":\"ffs\""), std::string::npos);
     EXPECT_NE(doc.find("\"k\":9"), std::string::npos);
     std::remove(path.c_str());
 }

@@ -393,6 +393,45 @@ TEST(PifoScheduler, PhantomPayloadIsACountedFault) {
     EXPECT_EQ(direct.dequeue(10)->id, 1u);
     EXPECT_THROW(direct.peek_size(20), fault::IntegrityError);
     EXPECT_FALSE(direct.has_packets());
+
+    // WF2Q+ with the phantom in the start queue: the first arrival is
+    // eligible at once, so the phantom is met while the enqueue promotes.
+    // The enqueue still succeeds, and the error surfaces from the next
+    // dequeue, where the driver counts it exactly once.
+    sched_prog::PifoScheduler::Config wf2q = cfg;
+    wf2q.policy = RankPolicy::kWf2q;
+    const auto phantom_start_queue = [] {
+        return [made = 0]() mutable -> std::unique_ptr<baselines::TagQueue> {
+            auto inner =
+                baselines::make_tag_queue(baselines::QueueKind::MultibitTree, {20, 1 << 16});
+            if (made++ == 0) return inner;  // the service queue stays clean
+            return std::make_unique<PhantomPayloadQueue>(std::move(inner), 1);
+        };
+    };
+    sched_prog::PifoScheduler two_stage(wf2q, phantom_start_queue());
+    auto wf2q_flows = net::make_mixed_profile(1'000'000'000 / 5, 13);
+    obs::MetricsRegistry wf2q_reg;
+    net::SimDriver wf2q_driver(20'000'000);
+    wf2q_driver.attach_metrics(wf2q_reg);
+    const auto wf2q_result = wf2q_driver.run(two_stage, wf2q_flows);
+    EXPECT_EQ(wf2q_result.sorter_faults, 1u);
+    EXPECT_EQ(wf2q_reg.counter_values().at("net.sorter_faults"), 1u);
+    EXPECT_EQ(wf2q_result.records.size() + wf2q_result.dropped_packets,
+              wf2q_result.offered_packets);
+    std::set<std::uint64_t> wf2q_departed;
+    for (const auto& r : wf2q_result.records)
+        EXPECT_TRUE(wf2q_departed.insert(r.packet.id).second);
+    EXPECT_FALSE(two_stage.has_packets());
+
+    sched_prog::PifoScheduler direct_wf2q(wf2q, phantom_start_queue());
+    const auto g = direct_wf2q.add_flow(1);
+    ASSERT_TRUE(direct_wf2q.enqueue(make_packet(1, g, 500, 0), 0));
+    EXPECT_EQ(direct_wf2q.queued_packets(), 1u);  // the phantom is gone
+    EXPECT_THROW(direct_wf2q.dequeue(10), fault::IntegrityError);
+    const auto served = direct_wf2q.dequeue(10);  // raised once, then served
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->id, 1u);
+    EXPECT_FALSE(direct_wf2q.has_packets());
 }
 
 // --------------------------------------------------- SpPifoScheduler

@@ -36,8 +36,6 @@ seed-deterministic metrics only):
   4. every committed policy.* row must still be present in the fresh run.
 
 The same-process ratio of check 4 is the one host.* value that gates.
-The artifacts' only other host.* gauge, host.elapsed_ms, is wall-clock
-and machine-dependent, and the default mode's name scan skips it.
 Exits 0 when every check passes, 1 otherwise.
 """
 

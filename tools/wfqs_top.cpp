@@ -1,15 +1,15 @@
-// wfqs_top: terminal dashboard for the host profiler's telemetry.
+// wfqs_top: terminal dashboard for a reshard soak and for flight dumps.
 //
 // Two modes, one binary:
 //
 //   wfqs_top STATUS_FILE [--interval MS] [--once]
-//       Attach to a live bench. A profiler-attached bench run with
-//       `--live STATUS_FILE` rewrites the file (tmp+rename) every
-//       sampler tick in the `# wfqs-live v1` format; wfqs_top polls it
-//       and redraws a per-stage item table, any per-bank rows, and
-//       ASCII sparklines of the most recent timeline windows. --once
-//       renders a single frame without touching the terminal modes —
-//       that is what tests and scripts use.
+//       Attach to a running `fault_soak --reshard --live STATUS_FILE`.
+//       The soak rewrites the file (tmp+rename) in the `# wfqs-live v1`
+//       format — `elapsed_s` plus one `bank` row per bank — and wfqs_top
+//       polls it and redraws the bank table with occupancy bars. A file
+//       whose elapsed_s stops moving is flagged STALE. --once renders a
+//       single frame without touching the terminal modes — that is what
+//       tests and scripts use.
 //
 //   wfqs_top --replay DUMP.ops
 //       Render a flight-recorder dump (from fault_soak --flight,
@@ -41,12 +41,7 @@ using wfqs::TextTable;
 
 // ------------------------------------------------------------- live mode
 
-struct StageRow {
-    std::string name;
-    std::uint64_t items = 0;
-};
-
-/// Per-bank row of a sharded/reshard bench (`bank <i> state <s> occ <n>
+/// Per-bank row of the reshard soak (`bank <i> state <s> occ <n>
 /// wait <cycles> ops <n>` live lines).
 struct BankRow {
     unsigned index = 0;
@@ -58,10 +53,7 @@ struct BankRow {
 
 struct LiveStatus {
     double elapsed_s = 0.0;
-    double window_t = 0.0;
-    std::vector<StageRow> stages;
     std::vector<BankRow> banks;
-    std::vector<std::pair<std::string, std::vector<double>>> series;
 };
 
 std::optional<LiveStatus> parse_live(const std::string& path) {
@@ -76,15 +68,6 @@ std::optional<LiveStatus> parse_live(const std::string& path) {
         if (!(ls >> key)) continue;
         if (key == "elapsed_s") {
             ls >> st.elapsed_s;
-        } else if (key == "window_t") {
-            ls >> st.window_t;
-        } else if (key == "stage") {
-            StageRow row;
-            std::string k;
-            ls >> row.name;
-            while (ls >> k)
-                if (k == "items") ls >> row.items;
-            st.stages.push_back(std::move(row));
         } else if (key == "bank") {
             BankRow row;
             std::string k;
@@ -96,35 +79,9 @@ std::optional<LiveStatus> parse_live(const std::string& path) {
                 else if (k == "ops") ls >> row.ops;
             }
             st.banks.push_back(std::move(row));
-        } else if (key == "series") {
-            std::string name;
-            ls >> name;
-            std::vector<double> v;
-            double x;
-            while (ls >> x) v.push_back(x);
-            st.series.emplace_back(std::move(name), std::move(v));
         }
     }
     return st;
-}
-
-/// Scale a window tail onto ' .:-=+*#%@' (min..max of the tail itself).
-std::string sparkline(const std::vector<double>& v) {
-    static const char kRamp[] = " .:-=+*#%@";
-    constexpr std::size_t kLevels = sizeof(kRamp) - 2;  // index 0..9
-    if (v.empty()) return "";
-    double lo = v[0], hi = v[0];
-    for (const double x : v) {
-        lo = x < lo ? x : lo;
-        hi = x > hi ? x : hi;
-    }
-    std::string out;
-    out.reserve(v.size());
-    for (const double x : v) {
-        const double frac = hi > lo ? (x - lo) / (hi - lo) : (hi > 0 ? 1.0 : 0.0);
-        out += kRamp[static_cast<std::size_t>(frac * kLevels + 0.5)];
-    }
-    return out;
 }
 
 std::string bar(double frac, std::size_t width = 20) {
@@ -137,16 +94,6 @@ std::string bar(double frac, std::size_t width = 20) {
 void render_live(const LiveStatus& st, const std::string& path, bool stale) {
     std::printf("wfqs_top — %s  (elapsed %.2fs%s)\n", path.c_str(), st.elapsed_s,
                 stale ? ", STALE" : "");
-    // Benches that attach the profiler without a driver count no stage
-    // items; they get no stage table rather than a header without rows.
-    TextTable t({"stage", "items"});
-    bool any_items = false;
-    for (const StageRow& s : st.stages) {
-        if (s.items == 0) continue;
-        t.add_row({s.name, TextTable::num(s.items)});
-        any_items = true;
-    }
-    if (any_items) std::printf("%s", t.render().c_str());
     if (!st.banks.empty()) {
         std::uint64_t max_occ = 1;
         for (const BankRow& b : st.banks)
@@ -160,15 +107,6 @@ void render_live(const LiveStatus& st, const std::string& path, bool stale) {
                         bar(static_cast<double>(b.occ) /
                                  static_cast<double>(max_occ))});
         std::printf("%s", bt.render().c_str());
-    }
-    if (!st.series.empty()) {
-        std::printf("\nlast windows (through t=%.2fs):\n", st.window_t);
-        std::size_t width = 0;
-        for (const auto& [name, v] : st.series)
-            width = name.size() > width ? name.size() : width;
-        for (const auto& [name, v] : st.series)
-            std::printf("  %-*s |%s|\n", static_cast<int>(width), name.c_str(),
-                        sparkline(v).c_str());
     }
 }
 
